@@ -165,22 +165,15 @@ def _interval_complements(L, lower, upper, e):
     return out
 
 
-def _atom_split_sound(L, x, y, co):
-    """Screen an atom split: deletion keeps complements, link identity holds."""
+def _split_sound(L, x, y, co):
+    """Screen a split on an atom y of L: deletion keeps complements, link
+    identity holds.  A coatom split is screened on the dual."""
     z = L.join(x, y)
     # a new complement would be a t whose meet with x drops from y to bottom
     for t in L.elements:
         if t != y and L.meet(x, t) == y and L.join(x, t) == L.top:
             return False
     return _interval_complements(L, y, L.top, z) == {t for t in co if L.leq(y, t)}
-
-
-def _coatom_split_sound(L, x, y, co):
-    z = L.meet(x, y)
-    for t in L.elements:
-        if t != y and L.join(x, t) == y and L.meet(x, t) == L.bottom:
-            return False
-    return _interval_complements(L, L.bottom, y, z) == {t for t in co if L.leq(t, y)}
 
 
 def _certify(L, x, trace, depth):
@@ -196,32 +189,28 @@ def _certify(L, x, trace, depth):
         )
         return Leaf(x)
 
-    # case 1 scans; remember whether the plain order-theoretic conditions
-    # ever matched, since the prune step is only guaranteed when they never do
+    # a coatom step on L is an atom step on its dual, so every scan runs
+    # over both sides; remember whether the plain order-theoretic case-1
+    # conditions ever matched, since the prune step is only guaranteed when
+    # they never do
+    sides = ((L, "atom"), (L.dual(), "coatom"))
     had_case1_candidate = False
     rejected = []
-    for y in L.atoms:
-        if L.leq(y, x) or L.join(x, y) == L.top:
-            rejected.append((y, "order"))
-            continue
-        had_case1_candidate = True
-        if not _atom_split_sound(L, x, y, co):
-            rejected.append((y, "witness"))
-            continue
-        return _emit_split(L, x, y, "case1_atom", co, members, rejected, trace, depth)
-    for y in L.coatoms:
-        if L.leq(x, y) or L.meet(x, y) == L.bottom:
-            rejected.append((y, "order"))
-            continue
-        had_case1_candidate = True
-        if not _coatom_split_sound(L, x, y, co):
-            rejected.append((y, "witness"))
-            continue
-        return _emit_split(L, x, y, "case1_coatom", co, members, rejected, trace, depth)
+    for S, side in sides:
+        for y in S.atoms:
+            if S.leq(y, x) or S.join(x, y) == S.top:
+                rejected.append((y, "order"))
+                continue
+            had_case1_candidate = True
+            if not _split_sound(S, x, y, co):
+                rejected.append((y, "witness"))
+                continue
+            return _emit_split(S, side, x, y, "case1", co, members, rejected,
+                               trace, depth)
 
     # prune: complements sitting among atoms/coatoms drag their whole
     # comparability components out of the lattice
-    seeds = {y for y in L.atoms if y in co} | {y for y in L.coatoms if y in co}
+    seeds = {y for S, _ in sides for y in S.atoms if y in co}
     if seeds:
         removed = set()
         for comp in L.comparability_components():
@@ -241,20 +230,14 @@ def _certify(L, x, trace, depth):
 
     # comparable splits: an atom below x, else a coatom above x; with no
     # complements anywhere this is the classic endgame and always succeeds
-    for y in L.atoms:
-        if y == x or not L.leq(y, x):
-            continue
-        if _atom_split_sound(L, x, y, co):
-            return _emit_split(L, x, y, "case2_atom", co, members, rejected,
-                               trace, depth)
-        rejected.append((y, "witness"))
-    for y in L.coatoms:
-        if y == x or not L.leq(x, y):
-            continue
-        if _coatom_split_sound(L, x, y, co):
-            return _emit_split(L, x, y, "case2_coatom", co, members, rejected,
-                               trace, depth)
-        rejected.append((y, "witness"))
+    for S, side in sides:
+        for y in S.atoms:
+            if y == x or not S.leq(y, x):
+                continue
+            if _split_sound(S, x, y, co):
+                return _emit_split(S, side, x, y, "case2", co, members, rejected,
+                                   trace, depth)
+            rejected.append((y, "witness"))
 
     raise InternalAssertion(
         "no-sound-step",
@@ -297,18 +280,20 @@ def _try_prune(L, x, co, members, removed, hard, trace, depth):
     return Prune(removed_ordered, _certify(child_lattice, x, trace, depth + 1))
 
 
-def _emit_split(L, x, y, mode, co, members, rejected, trace, depth):
+def _emit_split(S, side, x, y, case, co, members, rejected, trace, depth):
+    """Split on an atom y of S, where S is the lattice or its dual.
+
+    Children built on the dual are dualled back, so the recursion always
+    sees the lattice in its original orientation.
+    """
     if y not in members:
         raise InternalAssertion("split-vertex-outside", f"{y!r} not in {members}")
-    if mode in ("case1_atom", "case2_atom"):
-        z = L.join(x, y)
-        dl_lattice = _guarded("split-dl-sublattice", lambda: L.remove_atom(y))
-        lk_lattice = _guarded("split-lk-sublattice", lambda: L.interval(y, L.top))
-    else:
-        z = L.meet(x, y)
-        dl_lattice = _guarded("split-dl-sublattice", lambda: L.remove_coatom(y))
-        lk_lattice = _guarded("split-lk-sublattice", lambda: L.interval(L.bottom, y))
-    if z == L.top or z == L.bottom:
+    z = S.join(x, y)
+    dl_lattice = _guarded("split-dl-sublattice", lambda: S.remove_atom(y))
+    lk_lattice = _guarded("split-lk-sublattice", lambda: S.interval(y, S.top))
+    if side == "coatom":
+        dl_lattice, lk_lattice = dl_lattice.dual(), lk_lattice.dual()
+    if z == S.top or z == S.bottom:
         raise InternalAssertion("split-degenerate-z", f"z={z!r} for vertex {y!r}")
     # re-check the screened identities on the built sublattices: the
     # deletion child sees the same complements, the link child exactly
@@ -323,8 +308,9 @@ def _emit_split(L, x, y, mode, co, members, rejected, trace, depth):
             "claim2-complements",
             f"complements of {z!r} in the {y!r}-interval do not match",
         )
+    mode = f"{case}_{side}"
     trace.record(
-        depth=depth, case=mode, lattice_size=len(L),
+        depth=depth, case=mode, lattice_size=len(S),
         interior_size=len(members), vertex=y, link_element=z,
         rejected=[list(r) for r in rejected],
     )
@@ -414,7 +400,7 @@ def extract_collapses(certificate, complex_):
         raise VerificationFailed(
             f"certificate fails at {'/'.join(result.path) or 'root'}: {result.reason}"
         )
-    raw, final = _extract(certificate, complex_)
+    raw, final = _extract(certificate)
     sequence = CollapseSequence(
         tuple(CollapsePair(a, b) for a, b in raw), final
     )
@@ -422,14 +408,14 @@ def extract_collapses(certificate, complex_):
     return sequence
 
 
-def _extract(node, c):
+def _extract(node):
     if isinstance(node, Leaf):
         return [], node.vertex
     if isinstance(node, Prune):
-        return _extract(node.child, c)
+        return _extract(node.child)
     y = node.vertex
-    lk_pairs, w = _extract(node.lk, c.link(y))
-    dl_pairs, final = _extract(node.dl, c.deletion(y))
+    lk_pairs, w = _extract(node.lk)
+    dl_pairs, final = _extract(node.dl)
     lifted = [(a | {y}, b | {y}) for a, b in lk_pairs]
     lifted.append((frozenset({y}), frozenset({y, w})))
     return lifted + dl_pairs, final
@@ -547,27 +533,34 @@ def _audit(L, x, node, c, path, report):
         if not removed <= co:
             report.failures.append(f"{where}: prune removed non-complements")
             return
-        child_L = L.restrict([e for e in L.elements if e not in removed])
+        try:
+            child_L = L.restrict([e for e in L.elements if e not in removed])
+        except NonevadeError as exc:
+            report.failures.append(f"{where}: prune leaves no lattice: {exc}")
+            return
         child_c = certificate_complex(child_L, x)
         if child_c != c:
             report.failures.append(f"{where}: complex changed across a prune")
             return
         _audit(child_L, x, node.child, c, path + ("child",), report)
         return
-    # Split
+    # Split: a coatom step is audited as an atom step of the dual
     report.splits += 1
     y = node.vertex
+    case, side = node.mode.split("_")
+    S = L.dual() if side == "coatom" else L
+    if y == x or y not in S.atoms or y not in c.vertices:
+        report.failures.append(
+            f"{where}: {node.mode} split vertex {y!r} is not one of the "
+            f"{side}s in the complex other than {x!r}"
+        )
+        return
     co = set(L.complements(x))
-    if node.mode in ("case1_atom", "case2_atom"):
-        dl_L, lk_L = L.remove_atom(y), L.interval(y, L.top)
-        z = L.join(x, y)
-        below_x = L.leq(y, x)
-        consistent = (node.mode == "case2_atom") == below_x
-    else:
-        dl_L, lk_L = L.remove_coatom(y), L.interval(L.bottom, y)
-        z = L.meet(x, y)
-        consistent = (node.mode == "case2_coatom") == L.leq(x, y)
-    if not consistent:
+    dl_L, lk_L = S.remove_atom(y), S.interval(y, S.top)
+    if side == "coatom":
+        dl_L, lk_L = dl_L.dual(), lk_L.dual()
+    z = S.join(x, y)
+    if (case == "case2") != S.leq(y, x):
         report.failures.append(
             f"{where}: mode {node.mode} disagrees with how {y!r} compares to {x!r}"
         )

@@ -80,10 +80,6 @@ class Complex:
     def __repr__(self):
         return f"Complex({len(self.vertices)} vertices, {len(self.facets)} facets)"
 
-    def has_face(self, face):
-        fs = frozenset(face)
-        return any(fs <= g for g in self.facets)
-
     def all_faces(self):
         """Every nonempty face, as a frozenset of frozensets (cached)."""
         if self._faces is None:

@@ -34,7 +34,7 @@ from .errors import (
 #: Hard cap on the number of elements a generator may produce.
 MAX_ELEMENTS = 1 << 16
 
-_BAD_LABEL = re.compile(r"[\s,]")
+_BAD_LABEL = re.compile(r"[\s,#]")
 
 
 def check_label(label):
@@ -43,7 +43,7 @@ def check_label(label):
         raise ParseError(f"bad element label {label!r}: must be a nonempty string")
     if _BAD_LABEL.search(label):
         raise ParseError(
-            f"bad element label {label!r}: whitespace and commas are not allowed"
+            f"bad element label {label!r}: whitespace, commas and '#' are not allowed"
         )
     return label
 
@@ -59,11 +59,10 @@ class Poset:
     """A finite partial order on labelled elements.
 
     Build instances with :meth:`from_covers` (transitive closure is
-    computed, cycles rejected) or :meth:`from_relation` (the axioms are
-    verified).  ``elements`` is the canonical order.
+    computed, cycles rejected).  ``elements`` is the canonical order.
     """
 
-    __slots__ = ("elements", "_index", "_up", "_down", "_topo")
+    __slots__ = ("elements", "_index", "_up", "_down")
 
     def __init__(self, elements, up_masks, _validate=True):
         elements = tuple(elements)
@@ -85,11 +84,6 @@ class Poset:
         self._index = {e: i for i, e in enumerate(elements)}
         self._up = up
         self._down = tuple(down)
-        # |down| strictly increases along the order, so sorting by it is
-        # a linear extension (stable on ties).
-        self._topo = tuple(
-            sorted(range(n), key=lambda i: self._down[i].bit_count())
-        )
         if _validate:
             self._check_axioms()
 
@@ -157,24 +151,6 @@ class Poset:
             up[i] = mask
         return cls(elements, up, _validate=False)
 
-    @classmethod
-    def from_relation(cls, elements, pairs):
-        """Build a poset from explicit (u, v) pairs meaning u <= v.
-
-        Reflexive pairs may be omitted; antisymmetry violations raise
-        CycleDetected, other axiom violations ValueError.
-        """
-        elements = tuple(elements)
-        index = {e: i for i, e in enumerate(elements)}
-        if len(index) != len(elements):
-            raise ParseError("duplicate element labels")
-        up = [1 << i for i in range(len(elements))]
-        for u, v in pairs:
-            if u not in index or v not in index:
-                raise ParseError(f"relation references unknown element {u!r} or {v!r}")
-            up[index[u]] |= 1 << index[v]
-        return cls(elements, up, _validate=True)
-
     # -- queries --------------------------------------------------------------
 
     def __len__(self):
@@ -202,9 +178,6 @@ class Poset:
     def leq(self, u, v):
         return bool(self._up[self.index(u)] & (1 << self.index(v)))
 
-    def less(self, u, v):
-        return u != v and self.leq(u, v)
-
     def comparable(self, u, v):
         ui, vi = self.index(u), self.index(v)
         return bool((self._up[ui] | self._down[ui]) & (1 << vi))
@@ -222,9 +195,15 @@ class Poset:
             mask &= ~(1 << self.index(v))
         return tuple(self.elements[i] for i in sorted(_bits(mask)))
 
+    def _topo(self):
+        # |down| strictly increases along the order, so sorting by it is
+        # a linear extension (stable on ties).
+        down = self._down
+        return sorted(range(len(down)), key=lambda i: down[i].bit_count())
+
     def linear_extension(self):
         """All elements, smallest first, compatible with the order."""
-        return tuple(self.elements[i] for i in self._topo)
+        return tuple(self.elements[i] for i in self._topo())
 
     def covers(self):
         """Cover pairs (u, v) with u covered by v, in canonical pair order."""
@@ -240,7 +219,12 @@ class Poset:
         return [(self.elements[i], self.elements[j]) for i, j in out]
 
     def dual(self):
-        return Poset(self.elements, self._down, _validate=False)
+        """Order reversed, sharing the labels and masks of this poset."""
+        view = Poset.__new__(Poset)
+        view.elements = self.elements
+        view._index = self._index
+        view._up, view._down = self._down, self._up
+        return view
 
     def restrict(self, members):
         """Induced subposet on ``members``, canonical order preserved."""
@@ -304,7 +288,7 @@ class Lattice:
         # Work in linear-extension bit space so the greatest element of a
         # down-closed mask is simply its highest bit (dually for joins).
         n = len(poset)
-        topo = poset._topo
+        topo = poset._topo()
         pos = [0] * n
         for p, idx in enumerate(topo):
             pos[idx] = p
@@ -425,8 +409,16 @@ class Lattice:
         return self.restrict([e for e in self.elements if e != y])
 
     def dual(self):
-        """Order reversed: bottom/top, meet/join, atoms/coatoms all swap."""
-        return Lattice(self.poset.dual())
+        """Order reversed: bottom/top, meet/join, atoms/coatoms all swap.
+
+        The dual shares this lattice's tables, so it costs no rebuild.
+        """
+        view = Lattice.__new__(Lattice)
+        view.poset = self.poset.dual()
+        view.bottom, view.top = self.top, self.bottom
+        view.atoms, view.coatoms = self.coatoms, self.atoms
+        view._meet, view._join = self._join, self._meet
+        return view
 
     def comparability_components(self):
         """Connected components of the comparability graph on the interior.

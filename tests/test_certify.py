@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +18,7 @@ from nonevade.certify import (
     interior_members,
     verify_certificate,
 )
+from nonevade.chain_game import compile_strategy, strategy_to_obj
 from nonevade.complexes import Complex, replay_collapses
 from nonevade.corpus import M3_TEXT, N5_TEXT, named_corpus
 from nonevade.errors import (
@@ -161,6 +165,28 @@ def test_extract_pair_count_is_half_the_faces(d12):
         replay_collapses(complex_, seq)
 
 
+def test_named_corpus_outputs_are_byte_identical():
+    # pins the certificate, collapse and strategy JSON of every named
+    # corpus instance; any change to the certifier's choices shows here
+    digest = hashlib.sha256()
+    for name, lat in named_corpus():
+        for x in lat.interior():
+            cert, _ = certify(lat, x)
+            complex_ = certificate_complex(lat, x)
+            digest.update(name.encode() + b"\n")
+            digest.update(x.encode() + b"\n")
+            for obj in (
+                certificate_to_obj(cert),
+                extract_collapses(cert, complex_).to_obj(),
+                strategy_to_obj(compile_strategy(cert, complex_.vertices)),
+            ):
+                text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+                digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "ac87c39a7607188b314ce2ce74a5c6c687a356a0bf75f7a1fdba95f47d21d03c"
+    )
+
+
 # --- serialisation --------------------------------------------------------------------
 
 
@@ -228,6 +254,22 @@ def test_audit_flags_tampered_mode(d12):
     tampered = Split(cert.vertex, "case2_atom", cert.link_element, cert.dl, cert.lk)
     report = audit_certificate(d12, "2", tampered)
     assert not report.ok
+
+
+def test_audit_reports_unusable_steps_instead_of_raising(d12):
+    cert, _ = certify(d12, "2")
+    not_a_coatom = Split(cert.vertex, "case1_coatom", cert.link_element,
+                         cert.dl, cert.lk)
+    unknown = Split("9", cert.mode, cert.link_element, cert.dl, cert.lk)
+    for tampered in (not_a_coatom, unknown):
+        report = audit_certificate(d12, "2", tampered)
+        assert not report.ok
+        assert "split vertex" in report.failures[0]
+    # cd complements ab in boolean-4, but dropping it leaves no lattice
+    report = audit_certificate(generate("boolean", 4), "ab",
+                               Prune(("cd",), Leaf("ab")))
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("root: prune leaves no lattice")
 
 
 def test_audit_flags_wrong_link_element(d12):

@@ -94,6 +94,19 @@ def test_verify_mismatched_certificate(capsys, d12_file, tmp_path):
     assert "FAILED" in out
 
 
+def test_verify_deeply_nested_certificate_is_usage_error(capsys, d12_file, tmp_path):
+    depth = 1500
+    text = ('{"type": "prune", "removed": [], "child": ' * depth
+            + '{"type": "leaf", "vertex": "2"}' + "}" * depth)
+    cert_path = tmp_path / "deep.json"
+    cert_path.write_text(text)
+    code, out, err = run(capsys, "verify", d12_file, "-x", "2", "--json",
+                         "--cert", str(cert_path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ParseError"
+
+
 def test_certificate_file_byte_stable(capsys, d12_file, tmp_path):
     first = tmp_path / "one.json"
     second = tmp_path / "two.json"

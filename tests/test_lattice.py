@@ -20,7 +20,9 @@ from nonevade.errors import (
 from nonevade.corpus import BOWTIE_TEXT, M3_TEXT, N5_TEXT, named_corpus
 from nonevade.lattice import (
     InteriorSet,
+    Lattice,
     Poset,
+    check_label,
     dedekind_macneille,
     format_lattice,
     generate,
@@ -115,6 +117,25 @@ def test_bad_labels_rejected():
         Poset.from_covers(["a", "b,c"], [])
     with pytest.raises(ParseError):
         Poset.from_covers(["a", "a"], [])
+    with pytest.raises(ParseError):
+        Poset.from_covers(["a", "a#b"], [])
+
+
+def _accepted(label):
+    try:
+        check_label(label)
+    except ParseError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.lists(st.text(min_size=1, max_size=6).filter(_accepted),
+                       min_size=1, max_size=4, unique=True))
+def test_accepted_labels_round_trip_both_formats(labels):
+    chain = Lattice(Poset.from_covers(labels, zip(labels, labels[1:])))
+    for as_json in (False, True):
+        assert parse_lattice(format_lattice(chain, as_json=as_json)) == chain
 
 
 # --- complements --------------------------------------------------------------
@@ -385,11 +406,20 @@ def test_meet_join_universal_property_random(seed):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_dual_involution_and_absorption_random(seed):
     lat = generate("random", 7, p=0.3, seed=seed)
-    assert lat.dual().dual() == lat
+    view = lat.dual()
+    assert view.dual() == lat
+    rebuilt = Lattice(Poset.from_covers(lat.elements,
+                                        [(v, u) for u, v in lat.covers()]))
+    assert view.poset == rebuilt.poset
+    assert (view.bottom, view.top) == (rebuilt.bottom, rebuilt.top)
+    assert (view.atoms, view.coatoms) == (rebuilt.atoms, rebuilt.coatoms)
+    assert view.poset.linear_extension() == rebuilt.poset.linear_extension()
     for u in lat.elements:
         for v in lat.elements:
             assert lat.meet(u, lat.join(u, v)) == u
             assert lat.join(u, lat.meet(u, v)) == u
+            assert view.meet(u, v) == rebuilt.meet(u, v)
+            assert view.join(u, v) == rebuilt.join(u, v)
 
 
 # --- interior sets -----------------------------------------------------------------
