@@ -11,6 +11,7 @@ elementary-collapse sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 
 from .complexes import CollapsePair, CollapseSequence, order_complex, replay_collapses
 from .errors import (
@@ -20,7 +21,6 @@ from .errors import (
     LastVertex,
     NonevadeError,
     ParseError,
-    UnknownElement,
     UnknownVertex,
     VerificationFailed,
 )
@@ -94,8 +94,6 @@ class CertifyTrace:
 
 def interior_members(lattice, element):
     """The certified vertex set: interior elements that do not complement ``element``."""
-    if element not in lattice.poset._index:
-        raise UnknownElement(f"unknown element {element!r}")
     if element == lattice.bottom or element == lattice.top:
         raise ElementOnBoundary(f"{element!r} is a bound of the lattice")
     co = set(lattice.complements(element))
@@ -105,13 +103,6 @@ def interior_members(lattice, element):
 def certificate_complex(lattice, element):
     """Order complex of the vertex set certify(lattice, element) works on."""
     return order_complex(lattice.interior_set(interior_members(lattice, element)))
-
-
-def _guarded(tag, build):
-    try:
-        return build()
-    except NonevadeError as exc:
-        raise InternalAssertion(tag, str(exc)) from exc
 
 
 def certify(lattice, element):
@@ -142,11 +133,12 @@ def certify(lattice, element):
     noncomplemented both conditions always hold and the first case-1
     candidate passes; when it has complements they can genuinely
     fail for individual candidates, so every candidate is screened
-    against them and rejected candidates are recorded in the trace.
+    against them and rejected candidates are recorded in the trace.  The
+    screen runs on the very child lattices the recursion then certifies.
 
-    Conditions the theory does promise (screened candidates stay sound
-    after the sublattices are built, discard sets avoid the element,
-    sublattices revalidate) are still re-checked; a violation raises
+    Conditions the theory does promise (discard sets avoid the element
+    and leave a lattice, a split vertex is a vertex and its link element
+    is interior) are still re-checked; a violation raises
     InternalAssertion because it indicates a bug, never bad input.
     """
     trace = CertifyTrace()
@@ -154,26 +146,18 @@ def certify(lattice, element):
     return cert, trace
 
 
-def _interval_complements(L, lower, upper, e):
-    """Complements of e within the interval [lower, upper], via L's tables."""
-    out = set()
-    for t in L.elements:
-        if not (L.leq(lower, t) and L.leq(t, upper)):
-            continue
-        if L.meet(e, t) == lower and L.join(e, t) == upper:
-            out.add(t)
-    return out
-
-
-def _split_sound(L, x, y, co):
-    """Screen a split on an atom y of L: deletion keeps complements, link
-    identity holds.  A coatom split is screened on the dual."""
-    z = L.join(x, y)
-    # a new complement would be a t whose meet with x drops from y to bottom
-    for t in L.elements:
-        if t != y and L.meet(x, t) == y and L.join(x, t) == L.top:
-            return False
-    return _interval_complements(L, y, L.top, z) == {t for t in co if L.leq(y, t)}
+def _split_sound(S, x, y, co):
+    """The deletion and link children of a split on an atom y of S, or None
+    when the split is unsound: the deletion must keep the complement set co
+    of x, and the complements of join(x, y) in [y, top] must be exactly the
+    members of co above y.  A coatom split is screened on the dual."""
+    dl = S.remove_atom(y)
+    if set(dl.complements(x)) != co:
+        return None
+    lk = S.interval(y, S.top)
+    if set(lk.complements(S.join(x, y))) != co & set(lk.elements):
+        return None
+    return dl, lk
 
 
 def _certify(L, x, trace, depth):
@@ -202,11 +186,12 @@ def _certify(L, x, trace, depth):
                 rejected.append((y, "order"))
                 continue
             had_case1_candidate = True
-            if not _split_sound(S, x, y, co):
+            children = _split_sound(S, x, y, co)
+            if children is None:
                 rejected.append((y, "witness"))
                 continue
-            return _emit_split(S, side, x, y, "case1", co, members, rejected,
-                               trace, depth)
+            return _emit_split(S, side, x, y, children, "case1", members,
+                               rejected, trace, depth)
 
     # prune: complements sitting among atoms/coatoms drag their whole
     # comparability components out of the lattice
@@ -234,9 +219,10 @@ def _certify(L, x, trace, depth):
         for y in S.atoms:
             if y == x or not S.leq(y, x):
                 continue
-            if _split_sound(S, x, y, co):
-                return _emit_split(S, side, x, y, "case2", co, members, rejected,
-                                   trace, depth)
+            children = _split_sound(S, x, y, co)
+            if children is not None:
+                return _emit_split(S, side, x, y, children, "case2", members,
+                                   rejected, trace, depth)
             rejected.append((y, "witness"))
 
     raise InternalAssertion(
@@ -280,8 +266,9 @@ def _try_prune(L, x, co, members, removed, hard, trace, depth):
     return Prune(removed_ordered, _certify(child_lattice, x, trace, depth + 1))
 
 
-def _emit_split(S, side, x, y, case, co, members, rejected, trace, depth):
-    """Split on an atom y of S, where S is the lattice or its dual.
+def _emit_split(S, side, x, y, children, case, members, rejected, trace, depth):
+    """Split on an atom y of S, where S is the lattice or its dual, recursing
+    on the children that passed the soundness screen.
 
     Children built on the dual are dualled back, so the recursion always
     sees the lattice in its original orientation.
@@ -289,25 +276,11 @@ def _emit_split(S, side, x, y, case, co, members, rejected, trace, depth):
     if y not in members:
         raise InternalAssertion("split-vertex-outside", f"{y!r} not in {members}")
     z = S.join(x, y)
-    dl_lattice = _guarded("split-dl-sublattice", lambda: S.remove_atom(y))
-    lk_lattice = _guarded("split-lk-sublattice", lambda: S.interval(y, S.top))
-    if side == "coatom":
-        dl_lattice, lk_lattice = dl_lattice.dual(), lk_lattice.dual()
     if z == S.top or z == S.bottom:
         raise InternalAssertion("split-degenerate-z", f"z={z!r} for vertex {y!r}")
-    # re-check the screened identities on the built sublattices: the
-    # deletion child sees the same complements, the link child exactly
-    # the surviving ones
-    if set(dl_lattice.complements(x)) != co:
-        raise InternalAssertion(
-            "claim1-complements",
-            f"removing {y!r} changed the complement set of {x!r}",
-        )
-    if set(lk_lattice.complements(z)) != co & set(lk_lattice.elements):
-        raise InternalAssertion(
-            "claim2-complements",
-            f"complements of {z!r} in the {y!r}-interval do not match",
-        )
+    dl_lattice, lk_lattice = children
+    if side == "coatom":
+        dl_lattice, lk_lattice = dl_lattice.dual(), lk_lattice.dual()
     mode = f"{case}_{side}"
     trace.record(
         depth=depth, case=mode, lattice_size=len(S),
@@ -442,25 +415,48 @@ def certificate_size(certificate):
     return 1 + certificate_size(certificate.dl) + certificate_size(certificate.lk)
 
 
-def certificate_to_obj(certificate):
-    if isinstance(certificate, Leaf):
-        return {"type": "leaf", "vertex": certificate.vertex}
-    if isinstance(certificate, Prune):
+def _iterative(step):
+    """Run the recursion ``step`` on an explicit stack, at any depth.  It is
+    a generator function that yields the argument of each recursive call,
+    in order, is sent back that call's result and returns its own."""
+    @wraps(step)
+    def run(arg):
+        stack = [step(arg)]
+        result = None
+        while stack:
+            try:
+                arg = stack[-1].send(result)
+            except StopIteration as done:
+                stack.pop()
+                result = done.value
+            else:
+                stack.append(step(arg))
+                result = None
+        return result
+    return run
+
+
+@_iterative
+def certificate_to_obj(node):
+    if isinstance(node, Leaf):
+        return {"type": "leaf", "vertex": node.vertex}
+    if isinstance(node, Prune):
         return {
             "type": "prune",
-            "removed": list(certificate.removed),
-            "child": certificate_to_obj(certificate.child),
+            "removed": list(node.removed),
+            "child": (yield node.child),
         }
     return {
         "type": "split",
-        "vertex": certificate.vertex,
-        "mode": certificate.mode,
-        "z": certificate.link_element,
-        "dl": certificate_to_obj(certificate.dl),
-        "lk": certificate_to_obj(certificate.lk),
+        "vertex": node.vertex,
+        "mode": node.mode,
+        "z": node.link_element,
+        "dl": (yield node.dl),
+        "lk": (yield node.lk),
     }
 
 
+@_iterative
 def certificate_from_obj(obj):
     if not isinstance(obj, dict) or "type" not in obj:
         raise ParseError("certificate node must be an object with a type")
@@ -469,14 +465,14 @@ def certificate_from_obj(obj):
         if kind == "leaf":
             return Leaf(obj["vertex"])
         if kind == "prune":
-            return Prune(tuple(obj["removed"]), certificate_from_obj(obj["child"]))
+            return Prune(tuple(obj["removed"]), (yield obj["child"]))
         if kind == "split":
             return Split(
                 obj["vertex"],
                 obj["mode"],
                 obj["z"],
-                certificate_from_obj(obj["dl"]),
-                certificate_from_obj(obj["lk"]),
+                (yield obj["dl"]),
+                (yield obj["lk"]),
             )
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(f"bad certificate node: {exc}") from None

@@ -1,9 +1,11 @@
 """Finite bounded lattices over labelled elements.
 
-The order relation is stored as one bitmask per element (bit j of
-``up[i]`` means element i <= element j), which keeps meets, joins and
-sublattice construction cheap for the desk-scale lattices this package
-targets.  The element order given at construction is canonical: every
+A root stores one up- and one down-bitmask per element, bits numbered
+along a linear extension (bit q of ``up[p]`` means p <= q).  Every poset
+and lattice is a view (root, member mask): a sublattice or dual is one new
+mask that shares the root.  ``meet(u, v)`` is the highest bit of down(u) &
+down(v) & members, ``join`` the lowest of up(u) & up(v) & members (swapped
+on a dual).  The element order given at construction is canonical: every
 scan, tie-break and serialisation follows it.  All values are immutable
 once built, so instances can be shared freely across threads.
 """
@@ -55,23 +57,49 @@ def _bits(mask):
         mask ^= low
 
 
+def _index_labels(elements):
+    index = {}
+    for i, e in enumerate(elements):
+        check_label(e)
+        if e in index:
+            raise ParseError(f"duplicate element label {e!r}")
+        index[e] = i
+    return index
+
+
+def _check_axioms(elements, up, down):
+    for i in range(len(elements)):
+        if not up[i] & (1 << i):
+            raise ValueError(f"relation is not reflexive at {elements[i]!r}")
+        if up[i] & down[i] != 1 << i:
+            other = next(j for j in _bits(up[i] & down[i]) if j != i)
+            raise CycleDetected(
+                f"{elements[i]!r} and {elements[other]!r} are mutually comparable"
+            )
+        for j in _bits(up[i]):
+            if up[j] & ~up[i]:
+                k = next(_bits(up[j] & ~up[i]))
+                raise ValueError(
+                    "relation is not transitive: "
+                    f"{elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}"
+                )
+
+
 class Poset:
     """A finite partial order on labelled elements.
 
-    Build instances with :meth:`from_covers` (transitive closure is
-    computed, cycles rejected).  ``elements`` is the canonical order.
+    Build roots with :meth:`from_covers` (transitive closure is computed,
+    cycles rejected) or from one up-mask per element over ``elements``;
+    :meth:`dual` and :meth:`restrict` return views sharing the root.
+    ``elements`` is the canonical order.
     """
 
-    __slots__ = ("elements", "_index", "_up", "_down")
+    __slots__ = ("_canon", "_label", "_rank", "_pos", "_up", "_down", "_mask",
+                 "_rev", "_elements")
 
     def __init__(self, elements, up_masks, _validate=True):
         elements = tuple(elements)
-        seen = set()
-        for e in elements:
-            check_label(e)
-            if e in seen:
-                raise ParseError(f"duplicate element label {e!r}")
-            seen.add(e)
+        index = _index_labels(elements)
         n = len(elements)
         up = tuple(up_masks)
         if len(up) != n:
@@ -80,42 +108,27 @@ class Poset:
         for i in range(n):
             for j in _bits(up[i]):
                 down[j] |= 1 << i
-        self.elements = elements
-        self._index = {e: i for i, e in enumerate(elements)}
-        self._up = up
-        self._down = tuple(down)
         if _validate:
-            self._check_axioms()
-
-    def _check_axioms(self):
-        up = self._up
-        down = self._down
-        for i in range(len(self.elements)):
-            if not up[i] & (1 << i):
-                raise ValueError(f"relation is not reflexive at {self.elements[i]!r}")
-            if up[i] & down[i] != 1 << i:
-                other = next(j for j in _bits(up[i] & down[i]) if j != i)
-                raise CycleDetected(
-                    f"{self.elements[i]!r} and {self.elements[other]!r} are mutually comparable"
-                )
-            for j in _bits(up[i]):
-                if up[j] & ~up[i]:
-                    k = next(_bits(up[j] & ~up[i]))
-                    raise ValueError(
-                        "relation is not transitive: "
-                        f"{self.elements[i]!r} <= {self.elements[j]!r} <= {self.elements[k]!r}"
-                    )
+            _check_axioms(elements, up, down)
+        # number the bits along a linear extension: the canonical order if
+        # it is one, else that order stably sorted by |down|, which
+        # strictly increases along the order
+        rank = tuple(range(n))
+        if any(up[i] & ((1 << i) - 1) for i in rank):
+            rank = tuple(sorted(rank, key=lambda i: down[i].bit_count()))
+            bit = {i: 1 << p for p, i in enumerate(rank)}
+            up = [sum([bit[j] for j in _bits(up[i])]) for i in rank]
+            down = [sum([bit[j] for j in _bits(down[i])]) for i in rank]
+            index = {elements[i]: p for p, i in enumerate(rank)}
+        self._canon, self._label = elements, tuple(elements[i] for i in rank)
+        self._up, self._down, self._rank, self._pos = tuple(up), tuple(down), rank, index
+        self._mask, self._rev, self._elements = (1 << n) - 1, False, elements
 
     @classmethod
     def from_covers(cls, elements, covers):
         """Build a poset from cover pairs (u, v) meaning u is covered by v."""
         elements = tuple(elements)
-        index = {}
-        for i, e in enumerate(elements):
-            check_label(e)
-            if e in index:
-                raise ParseError(f"duplicate element label {e!r}")
-            index[e] = i
+        index = _index_labels(elements)
         n = len(elements)
         succ = [set() for _ in range(n)]
         for u, v in covers:
@@ -151,93 +164,154 @@ class Poset:
             up[i] = mask
         return cls(elements, up, _validate=False)
 
+    def _view(self, mask):
+        """The induced subposet on the positions in ``mask``."""
+        view = Poset.__new__(Poset)
+        view._canon, view._label = self._canon, self._label
+        view._rank, view._pos = self._rank, self._pos
+        view._up, view._down, view._rev = self._up, self._down, self._rev
+        view._mask, view._elements = mask, None
+        return view
+
+    def _at(self, label):
+        """Bit position of a member."""
+        p = self._pos.get(label)
+        if p is None or not self._mask >> p & 1:
+            raise UnknownElement(f"unknown element {label!r}")
+        return p
+
+    def _sorted(self, mask):
+        """The positions in ``mask``, in canonical order."""
+        return sorted(_bits(mask), key=self._rank.__getitem__)
+
+    def _labels(self, mask):
+        ranks = sorted(map(self._rank.__getitem__, _bits(mask)))
+        return tuple(map(self._canon.__getitem__, ranks))
+
+    def _relation(self):
+        """Up-masks over indices into ``elements``: the order as a plain value."""
+        order = self._sorted(self._mask)
+        bit = {p: 1 << i for i, p in enumerate(order)}
+        return tuple(sum(bit[q] for q in _bits(self._up[p] & self._mask)) for p in order)
+
     # -- queries --------------------------------------------------------------
 
+    @property
+    def elements(self):
+        if self._elements is None:
+            self._elements = self._labels(self._mask)
+        return self._elements
+
     def __len__(self):
-        return len(self.elements)
+        return self._mask.bit_count()
 
     def __eq__(self, other):
         return (
             isinstance(other, Poset)
             and self.elements == other.elements
-            and self._up == other._up
+            and self._relation() == other._relation()
         )
 
     def __hash__(self):
-        return hash((self.elements, self._up))
+        return hash((self.elements, self._relation()))
 
     def __repr__(self):
-        return f"Poset({len(self.elements)} elements)"
+        return f"Poset({len(self)} elements)"
 
     def index(self, label):
-        try:
-            return self._index[label]
-        except KeyError:
-            raise UnknownElement(f"unknown element {label!r}") from None
+        """Canonical rank of a member: sorting members by it gives ``elements``."""
+        return self._rank[self._at(label)]
 
     def leq(self, u, v):
-        return bool(self._up[self.index(u)] & (1 << self.index(v)))
-
-    def comparable(self, u, v):
-        ui, vi = self.index(u), self.index(v)
-        return bool((self._up[ui] | self._down[ui]) & (1 << vi))
+        pos, mask = self._pos, self._mask
+        p, q = pos.get(u), pos.get(v)
+        if p is None or q is None or not mask >> p & mask >> q & 1:
+            self._at(u), self._at(v)  # raises for the first non-member
+        return bool(self._up[p] >> q & 1)
 
     def below(self, v, strict=True):
         """Elements <= v (or < v) in canonical order."""
-        mask = self._down[self.index(v)]
-        if strict:
-            mask &= ~(1 << self.index(v))
-        return tuple(self.elements[i] for i in sorted(_bits(mask)))
+        p = self._at(v)
+        mask = self._down[p] & self._mask
+        return self._labels(mask & ~(1 << p) if strict else mask)
 
     def above(self, v, strict=True):
-        mask = self._up[self.index(v)]
-        if strict:
-            mask &= ~(1 << self.index(v))
-        return tuple(self.elements[i] for i in sorted(_bits(mask)))
-
-    def _topo(self):
-        # |down| strictly increases along the order, so sorting by it is
-        # a linear extension (stable on ties).
-        down = self._down
-        return sorted(range(len(down)), key=lambda i: down[i].bit_count())
+        p = self._at(v)
+        mask = self._up[p] & self._mask
+        return self._labels(mask & ~(1 << p) if strict else mask)
 
     def linear_extension(self):
-        """All elements, smallest first, compatible with the order."""
-        return tuple(self.elements[i] for i in self._topo())
+        """All elements, smallest first: the canonical order stably sorted
+        by down-set size, which strictly increases along the order."""
+        mask, down = self._mask, self._down
+        order = sorted(self._sorted(mask), key=lambda p: (down[p] & mask).bit_count())
+        return tuple(self._label[p] for p in order)
 
     def covers(self):
         """Cover pairs (u, v) with u covered by v, in canonical pair order."""
-        n = len(self.elements)
+        mask, up, down, rank = self._mask, self._up, self._down, self._rank
         out = []
-        for i in range(n):
-            strict_up = self._up[i] & ~(1 << i)
-            for j in _bits(strict_up):
-                between = strict_up & self._down[j] & ~(1 << j)
-                if not between:
-                    out.append((i, j))
-        out.sort()
-        return [(self.elements[i], self.elements[j]) for i, j in out]
+        for p in _bits(mask):
+            strict_up = up[p] & mask & ~(1 << p)
+            for q in _bits(strict_up):
+                if not strict_up & down[q] & ~(1 << q):
+                    out.append((p, q))
+        out.sort(key=lambda pq: (rank[pq[0]], rank[pq[1]]))
+        return [(self._label[p], self._label[q]) for p, q in out]
 
     def dual(self):
-        """Order reversed, sharing the labels and masks of this poset."""
-        view = Poset.__new__(Poset)
-        view.elements = self.elements
-        view._index = self._index
-        view._up, view._down = self._down, self._up
+        """Order reversed, sharing the root of this poset."""
+        view = self._view(self._mask)
+        view._up, view._down, view._rev = self._down, self._up, not self._rev
+        view._elements = self._elements
         return view
 
     def restrict(self, members):
         """Induced subposet on ``members``, canonical order preserved."""
-        keep = sorted(self.index(m) for m in set(members))
-        old_to_new = {old: new for new, old in enumerate(keep)}
-        up = []
-        for old in keep:
-            mask = 0
-            for j in _bits(self._up[old]):
-                if j in old_to_new:
-                    mask |= 1 << old_to_new[j]
-            up.append(mask)
-        return Poset(tuple(self.elements[i] for i in keep), up, _validate=False)
+        mask = 0
+        for m in members:
+            mask |= 1 << self._at(m)
+        return self._view(mask)
+
+
+def _missing_bound(poset, order):
+    """The first pair of ``order`` without a meet or a join, as (kind, p, q,
+    common bounds); None if there is none."""
+    mask, up, down, rev = poset._mask, poset._up, poset._down, poset._rev
+    for a, p in enumerate(order):
+        down_p, up_p = down[p] & mask, up[p] & mask
+        for q in order[a:]:
+            common = down_p & down[q]
+            if common & ~down[(common & -common if rev else common).bit_length() - 1]:
+                return "meet", p, q, common
+            common = up_p & up[q]
+            if common & ~up[(common if rev else common & -common).bit_length() - 1]:
+                return "join", p, q, common
+    return None
+
+
+def _lattice_bounds(poset):
+    """Positions of the bottom and top; raises unless ``poset`` is a lattice."""
+    n = len(poset)
+    if n == 0:
+        raise NoUniqueBottom("empty poset has no bottom element")
+    if n > MAX_ELEMENTS:
+        raise ParamOutOfRange(f"{n} elements exceeds the cap of {MAX_ELEMENTS}")
+    mask, up, down, label = poset._mask, poset._up, poset._down, poset._label
+    order = poset._sorted(mask)
+    minimals = [p for p in order if down[p] & mask == 1 << p]
+    if len(minimals) != 1:
+        raise NoUniqueBottom(f"minimal elements: {[label[p] for p in minimals]}")
+    maximals = [p for p in order if up[p] & mask == 1 << p]
+    if len(maximals) != 1:
+        raise NoUniqueTop(f"maximal elements: {[label[p] for p in maximals]}")
+    missing = _missing_bound(poset, order)
+    if missing:
+        kind, p, q, common = missing
+        extreme = up if kind == "meet" else down
+        wits = sum(1 << r for r in _bits(common) if extreme[r] & common == 1 << r)
+        raise NotALattice(kind, label[p], label[q], poset._labels(wits))
+    return minimals[0], maximals[0]
 
 
 class Lattice:
@@ -245,90 +319,25 @@ class Lattice:
 
     Construction validates everything: unique minimum and maximum, and a
     unique greatest lower / least upper bound for every pair (raising
-    NotALattice with the offending witnesses otherwise).
+    NotALattice with the offending witnesses otherwise).  Intervals, atom
+    and coatom deletions and duals are lattices by construction: they pass
+    their bounds' positions as ``_bounds`` and skip the check.
     """
 
-    __slots__ = ("poset", "bottom", "top", "atoms", "coatoms", "_meet", "_join")
+    __slots__ = ("poset", "bottom", "top", "atoms", "coatoms", "_atom_mask",
+                 "_coatom_mask")
 
-    def __init__(self, poset):
-        n = len(poset)
-        if n == 0:
-            raise NoUniqueBottom("empty poset has no bottom element")
-        if n > MAX_ELEMENTS:
-            raise ParamOutOfRange(f"{n} elements exceeds the cap of {MAX_ELEMENTS}")
-        minimals = [i for i in range(n) if poset._down[i] == 1 << i]
-        if len(minimals) != 1:
-            raise NoUniqueBottom(
-                f"minimal elements: {[poset.elements[i] for i in minimals]}"
-            )
-        maximals = [i for i in range(n) if poset._up[i] == 1 << i]
-        if len(maximals) != 1:
-            raise NoUniqueTop(
-                f"maximal elements: {[poset.elements[i] for i in maximals]}"
-            )
+    def __init__(self, poset, _bounds=None):
+        mask, up, down, label = poset._mask, poset._up, poset._down, poset._label
+        bottom, top = _lattice_bounds(poset) if _bounds is None else _bounds
+        atoms = sum(1 << p for p in _bits(mask)
+                    if p != bottom and down[p] & mask == 1 << bottom | 1 << p)
+        coatoms = sum(1 << p for p in _bits(mask)
+                      if p != top and up[p] & mask == 1 << top | 1 << p)
         self.poset = poset
-        bot, top = minimals[0], maximals[0]
-        self.bottom = poset.elements[bot]
-        self.top = poset.elements[top]
-        self._meet, self._join = self._build_tables(poset)
-        bot_bit, top_bit = 1 << bot, 1 << top
-        self.atoms = tuple(
-            poset.elements[i]
-            for i in range(n)
-            if i != bot and poset._down[i] == bot_bit | (1 << i)
-        )
-        self.coatoms = tuple(
-            poset.elements[i]
-            for i in range(n)
-            if i != top and poset._up[i] == top_bit | (1 << i)
-        )
-
-    @staticmethod
-    def _build_tables(poset):
-        # Work in linear-extension bit space so the greatest element of a
-        # down-closed mask is simply its highest bit (dually for joins).
-        n = len(poset)
-        topo = poset._topo()
-        pos = [0] * n
-        for p, idx in enumerate(topo):
-            pos[idx] = p
-        down_t = [0] * n
-        up_t = [0] * n
-        for idx in range(n):
-            dm = 0
-            for k in _bits(poset._down[idx]):
-                dm |= 1 << pos[k]
-            down_t[pos[idx]] = dm
-            um = 0
-            for k in _bits(poset._up[idx]):
-                um |= 1 << pos[k]
-            up_t[pos[idx]] = um
-        meet = [[0] * n for _ in range(n)]
-        join = [[0] * n for _ in range(n)]
-        elements = poset.elements
-        for i in range(n):
-            pi = pos[i]
-            for j in range(i, n):
-                pj = pos[j]
-                dm = down_t[pi] & down_t[pj]
-                m = dm.bit_length() - 1
-                if dm & ~down_t[m]:
-                    wits = [topo[r] for r in _bits(dm) if up_t[r] & dm == 1 << r]
-                    raise NotALattice(
-                        "meet", elements[i], elements[j],
-                        [elements[w] for w in sorted(wits)],
-                    )
-                meet[i][j] = meet[j][i] = topo[m]
-                um = up_t[pi] & up_t[pj]
-                m = (um & -um).bit_length() - 1
-                if um & ~up_t[m]:
-                    wits = [topo[r] for r in _bits(um) if down_t[r] & um == 1 << r]
-                    raise NotALattice(
-                        "join", elements[i], elements[j],
-                        [elements[w] for w in sorted(wits)],
-                    )
-                join[i][j] = join[j][i] = topo[m]
-        return tuple(map(tuple, meet)), tuple(map(tuple, join))
+        self.bottom, self.top = label[bottom], label[top]
+        self.atoms, self.coatoms = poset._labels(atoms), poset._labels(coatoms)
+        self._atom_mask, self._coatom_mask = atoms, coatoms
 
     # -- basic queries ----------------------------------------------------------
 
@@ -354,31 +363,33 @@ class Lattice:
         return self.poset.leq(u, v)
 
     def meet(self, u, v):
-        return self.elements[self._meet[self.poset.index(u)][self.poset.index(v)]]
+        P = self.poset
+        common = P._down[P._at(u)] & P._down[P._at(v)] & P._mask
+        return P._label[(common & -common if P._rev else common).bit_length() - 1]
 
     def join(self, u, v):
-        return self.elements[self._join[self.poset.index(u)][self.poset.index(v)]]
+        P = self.poset
+        common = P._up[P._at(u)] & P._up[P._at(v)] & P._mask
+        return P._label[(common if P._rev else common & -common).bit_length() - 1]
 
     def interior(self):
         """Elements other than bottom and top, in canonical order."""
-        return tuple(
-            e for e in self.elements if e != self.bottom and e != self.top
-        )
+        return tuple(e for e in self.elements if e not in (self.bottom, self.top))
 
     def covers(self):
         return self.poset.covers()
 
     def complements(self, x):
-        """All y with meet(x, y) = bottom and join(x, y) = top."""
-        xi = self.poset.index(x)
-        bot = self.poset.index(self.bottom)
-        top = self.poset.index(self.top)
-        row_m, row_j = self._meet[xi], self._join[xi]
-        return tuple(
-            self.elements[y]
-            for y in range(len(self))
-            if row_m[y] == bot and row_j[y] == top
-        )
+        """All y with meet(x, y) = bottom and join(x, y) = top: the elements
+        above no atom below x and below no coatom above x."""
+        P = self.poset
+        p = P._at(x)
+        blocked = 0
+        for a in _bits(P._down[p] & self._atom_mask):
+            blocked |= P._up[a]
+        for c in _bits(P._up[p] & self._coatom_mask):
+            blocked |= P._down[c]
+        return P._labels(P._mask & ~blocked)
 
     # -- transforms ---------------------------------------------------------------
 
@@ -390,34 +401,34 @@ class Lattice:
         """The sublattice {w : u <= w <= v} with bottom u and top v."""
         if not self.leq(u, v):
             raise NotComparable(f"{u!r} is not below {v!r}")
-        ui, vi = self.poset.index(u), self.poset.index(v)
-        mask = self.poset._up[ui] & self.poset._down[vi]
-        return self.restrict([self.elements[i] for i in _bits(mask)])
+        P = self.poset
+        p, q = P._at(u), P._at(v)
+        return Lattice(P._view(P._up[p] & P._down[q] & P._mask), (p, q))
 
     def remove_atom(self, y):
+        """The sublattice without the atom y: meets that were y become bottom."""
         if y not in self.atoms:
-            if y not in self.poset._index:
-                raise UnknownElement(f"unknown element {y!r}")
+            self.poset._at(y)  # UnknownElement unless y is an element
             raise NotAnAtom(f"{y!r} is not an atom")
-        return self.restrict([e for e in self.elements if e != y])
+        P = self.poset
+        bottom = P._at(self.bottom)
+        top = bottom if y == self.top else P._at(self.top)
+        return Lattice(P._view(P._mask & ~(1 << P._at(y))), (bottom, top))
 
     def remove_coatom(self, y):
+        """The order dual of :meth:`remove_atom`."""
         if y not in self.coatoms:
-            if y not in self.poset._index:
-                raise UnknownElement(f"unknown element {y!r}")
+            self.poset._at(y)  # UnknownElement unless y is an element
             raise NotACoatom(f"{y!r} is not a coatom")
-        return self.restrict([e for e in self.elements if e != y])
+        return self.dual().remove_atom(y).dual()
 
     def dual(self):
-        """Order reversed: bottom/top, meet/join, atoms/coatoms all swap.
-
-        The dual shares this lattice's tables, so it costs no rebuild.
-        """
+        """Order reversed: bottom/top, meet/join, atoms/coatoms all swap."""
         view = Lattice.__new__(Lattice)
         view.poset = self.poset.dual()
         view.bottom, view.top = self.top, self.bottom
         view.atoms, view.coatoms = self.coatoms, self.atoms
-        view._meet, view._join = self._join, self._meet
+        view._atom_mask, view._coatom_mask = self._coatom_mask, self._atom_mask
         return view
 
     def comparability_components(self):
@@ -425,30 +436,22 @@ class Lattice:
 
         Returned as frozensets ordered by their canonically-first member.
         """
-        interior = self.interior()
-        idx = self.poset.index
-        int_mask = 0
-        for e in interior:
-            int_mask |= 1 << idx(e)
-        seen = set()
+        P = self.poset
+        up, down = P._up, P._down
+        rest = P._mask & ~(1 << P._at(self.bottom)) & ~(1 << P._at(self.top))
         comps = []
-        for e in interior:
-            i = idx(e)
-            if i in seen:
+        for p in P._sorted(rest):
+            if not rest >> p & 1:
                 continue
-            comp = set()
-            stack = [i]
-            while stack:
-                k = stack.pop()
-                if k in comp:
-                    continue
-                comp.add(k)
-                reach = (self.poset._up[k] | self.poset._down[k]) & int_mask
-                for m in _bits(reach & ~(1 << k)):
-                    if m not in comp:
-                        stack.append(m)
-            seen |= comp
-            comps.append(frozenset(self.elements[k] for k in comp))
+            comp, frontier = 0, 1 << p
+            while frontier:
+                comp |= frontier
+                reach = 0
+                for q in _bits(frontier):
+                    reach |= up[q] | down[q]
+                frontier = reach & rest & ~comp
+            rest &= ~comp
+            comps.append(frozenset(P._label[q] for q in _bits(comp)))
         return tuple(comps)
 
     def interior_set(self, members=None):
@@ -571,12 +574,9 @@ def dedekind_macneille(poset):
     """
     n = len(poset)
     full = (1 << n) - 1
-    closed = {full}
-    frontier = {full}
-    principals = [poset._down[i] for i in range(n)]
-    for p in principals:
-        closed.add(p)
-        frontier.add(p)
+    principals = poset.dual()._relation()
+    closed = {full, *principals}
+    frontier = set(closed)
     while frontier:
         new = set()
         for a in frontier:
@@ -613,13 +613,13 @@ def product_lattice(left, right):
     if n * m > MAX_ELEMENTS:
         raise ParamOutOfRange(f"product has {n * m} elements, cap is {MAX_ELEMENTS}")
     labels = [f"{a}*{b}" for a in left.elements for b in right.elements]
-    lp, rp = left.poset, right.poset
+    left_up, right_up = left.poset._relation(), right.poset._relation()
     up = []
     for i in range(n):
         for j in range(m):
             mask = 0
-            for i2 in _bits(lp._up[i]):
-                for j2 in _bits(rp._up[j]):
+            for i2 in _bits(left_up[i]):
+                for j2 in _bits(right_up[j]):
                     mask |= 1 << (i2 * m + j2)
             up.append(mask)
     return Lattice(Poset(labels, up, _validate=False))

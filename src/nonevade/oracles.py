@@ -8,9 +8,7 @@ per-call unless the caller passes one in to share across a batch.
 
 from __future__ import annotations
 
-import sys
-
-from .certify import Leaf, Split
+from .certify import Leaf, Split, _iterative
 from .errors import CapExceeded, EmptyLink
 from .complexes import CollapsePair, CollapseSequence
 
@@ -113,6 +111,7 @@ def brute_collapsible(complex_, face_cap=COLLAPSE_FACE_CAP):
     vertices = complex_.vertices
     dead_ends = set()
 
+    @_iterative
     def search(current):
         if len(current) == 1:
             (only,) = current
@@ -132,7 +131,7 @@ def brute_collapsible(complex_, face_cap=COLLAPSE_FACE_CAP):
             coface = cofaces[0]
             current.remove(free)
             current.remove(coface)
-            tail = search(current)
+            tail = yield current
             current.add(free)
             current.add(coface)
             if tail is not None:
@@ -140,13 +139,8 @@ def brute_collapsible(complex_, face_cap=COLLAPSE_FACE_CAP):
         dead_ends.add(state)
         return None
 
-    # recursion depth tracks the number of collapse steps
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, len(faces) // 2 + 200))
-    try:
-        result = search(set(faces))
-    finally:
-        sys.setrecursionlimit(old_limit)
+    # the search keeps its own stack: each collapse step is one level
+    result = search(set(faces))
     if result is None:
         return None
     # the final vertex is whatever single face survives the replay

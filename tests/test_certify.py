@@ -197,6 +197,23 @@ def test_certificate_json_round_trip(d12):
     assert obj["type"] == "split" and obj["z"] == "6"
 
 
+def test_deep_prune_chain_round_trips_in_process():
+    # 1,500 levels is past the default recursion limit; the serialisers
+    # keep their own stack
+    depth = 1500
+    cert = Leaf("a")
+    for level in range(depth):
+        cert = Prune((f"p{level}",), cert)
+    obj = certificate_to_obj(cert)
+    back = certificate_from_obj(obj)
+    for level in reversed(range(depth)):
+        assert obj["type"] == "prune" and obj["removed"] == [f"p{level}"]
+        assert isinstance(back, Prune) and back.removed == (f"p{level}",)
+        obj, back = obj["child"], back.child
+    assert obj == {"type": "leaf", "vertex": "a"}
+    assert back == Leaf("a")
+
+
 def test_certificate_from_obj_rejects_garbage():
     with pytest.raises(ParseError):
         certificate_from_obj({"type": "mystery"})

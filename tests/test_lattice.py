@@ -422,6 +422,152 @@ def test_dual_involution_and_absorption_random(seed):
             assert view.join(u, v) == rebuilt.join(u, v)
 
 
+# --- sublattice views against rebuilt lattices ------------------------------------
+
+
+def _assert_matches_rebuilt(view):
+    rebuilt = Lattice(Poset.from_covers(view.elements, view.covers()))
+    assert view.elements == rebuilt.elements
+    assert (view.bottom, view.top) == (rebuilt.bottom, rebuilt.top)
+    assert (view.atoms, view.coatoms) == (rebuilt.atoms, rebuilt.coatoms)
+    assert view.interior() == rebuilt.interior()
+    assert view.covers() == rebuilt.covers()
+    assert view.poset.linear_extension() == rebuilt.poset.linear_extension()
+    assert view.comparability_components() == rebuilt.comparability_components()
+    assert view == rebuilt and hash(view) == hash(rebuilt)
+    for u in view.elements:
+        assert view.complements(u) == rebuilt.complements(u) == tuple(
+            v for v in view.elements
+            if view.meet(u, v) == view.bottom and view.join(u, v) == view.top
+        )
+        for v in view.elements:
+            assert view.leq(u, v) == rebuilt.leq(u, v)
+            assert view.meet(u, v) == rebuilt.meet(u, v)
+            assert view.join(u, v) == rebuilt.join(u, v)
+
+
+_STEP = st.tuples(
+    st.sampled_from(["remove_atom", "interval", "restrict", "dual"]),
+    st.integers(min_value=0, max_value=1_000),
+    st.integers(min_value=0, max_value=1_000),
+)
+
+
+_SMALL_NAMED = [lat for _, lat in named_corpus() if len(lat) <= 16]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       named=st.none() | st.sampled_from(_SMALL_NAMED),
+       steps=st.lists(_STEP, max_size=6))
+def test_nested_views_match_rebuilt_lattices(seed, named, steps):
+    # chains of deletions, intervals, restrictions and duals, as certify
+    # and its prune step nest them; a restriction drops one or two interior
+    # elements and may leave no lattice
+    lat = generate("random", 7, p=0.3, seed=seed) if named is None else named
+    _assert_matches_rebuilt(lat)
+    for op, i, j in steps:
+        elements = lat.elements
+        if op == "remove_atom":
+            if not lat.atoms:
+                break
+            lat = lat.remove_atom(lat.atoms[i % len(lat.atoms)])
+        elif op == "interval":
+            u = elements[i % len(elements)]
+            uppers = lat.poset.above(u, strict=False)
+            lat = lat.interval(u, uppers[j % len(uppers)])
+        elif op == "dual":
+            lat = lat.dual()
+        else:
+            interior = lat.interior()
+            if not interior:
+                break
+            dropped = {interior[i % len(interior)], interior[j % len(interior)]}
+            lat = _restrict_as_rebuilt(lat, [e for e in elements if e not in dropped])
+            if lat is None:
+                break
+        _assert_matches_rebuilt(lat)
+
+
+def _restrict_as_rebuilt(lat, members):
+    """lat.restrict(members), checked against a lattice rebuilt from the
+    induced order; None when both raise the same NotALattice."""
+    relation = [(u, v) for u in members for v in members if u != v and lat.leq(u, v)]
+    try:
+        expected = Lattice(Poset.from_covers(members, relation))
+    except NotALattice as exc:
+        with pytest.raises(NotALattice) as err:
+            lat.restrict(members)
+        assert str(err.value) == str(exc)
+        return None
+    view = lat.restrict(members)
+    assert view == expected
+    return view
+
+
+def test_restrict_matches_rebuilt_on_every_single_deletion():
+    failures = 0
+    for lat in _SMALL_NAMED:
+        for side in (lat, lat.dual()):
+            for e in side.interior():
+                view = _restrict_as_rebuilt(side, [m for m in side.elements if m != e])
+                failures += view is None
+    assert failures > 0
+
+
+def test_restrict_to_a_non_lattice_names_the_first_pair():
+    # without ab, the atoms a and b have two minimal upper bounds
+    b4 = generate("boolean", 4)
+    members = [e for e in b4.elements if e != "ab"]
+    for view, kind in ((b4, "join"), (b4.interval("0", "1").dual(), "meet")):
+        with pytest.raises(NotALattice) as err:
+            view.restrict(members)
+        exc = err.value
+        assert (exc.kind, exc.left, exc.right) == (kind, "a", "b")
+        assert exc.witnesses == ("abc", "abd")
+
+
+# --- Crapo's complementation theorem -----------------------------------------------
+#
+# mu(0, 1) = sum of mu(0, y) * mu(z, 1) over complements y <= z of x, for every
+# x (Crapo 1968): a check of complements() that shares none of its code.
+
+
+def _mobius_from_bottom(lat):
+    mu = {}
+    for y in lat.poset.linear_extension():
+        below = [w for w in mu if lat.leq(w, y)]
+        mu[y] = 1 if y == lat.bottom else -sum(mu[w] for w in below)
+    return mu
+
+
+def _assert_crapo(lat):
+    from_bottom = _mobius_from_bottom(lat)
+    to_top = _mobius_from_bottom(lat.dual())
+    for x in lat.elements:
+        co = lat.complements(x)
+        assert from_bottom[lat.top] == sum(
+            from_bottom[y] * to_top[z] for y in co for z in co if lat.leq(y, z)
+        ), x
+
+
+def test_crapo_complementation_named_corpus():
+    for name, lat in named_corpus():
+        _assert_crapo(lat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_crapo_complementation_random_and_views(seed):
+    lat = generate("random", 7, p=0.3, seed=seed)
+    _assert_crapo(lat)
+    for y in lat.atoms:
+        _assert_crapo(lat.remove_atom(y))
+        _assert_crapo(lat.interval(y, lat.top))
+    for y in lat.coatoms:
+        _assert_crapo(lat.interval(lat.bottom, y))
+
+
 # --- interior sets -----------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -75,6 +77,26 @@ def test_path_collapse_is_replayable():
     assert seq is not None
     assert len(seq.pairs) == (c.face_count() - 1) // 2 == 3
     replay_collapses(c, seq)
+
+
+def test_collapse_search_leaves_the_recursion_limit_alone(monkeypatch):
+    # the search keeps its own stack, so it never touches process-wide state
+    def refuse(limit):
+        raise AssertionError("brute_collapsible changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    c = Complex(["2", "3", "4", "6"], [{"2", "4"}, {"2", "6"}, {"3", "6"}])
+    seq = brute_collapsible(c)
+    # the first full collapse in canonical free-face order
+    assert [(sorted(p.free_face), sorted(p.coface)) for p in seq.pairs] == [
+        (["3"], ["3", "6"]), (["4"], ["2", "4"]), (["2"], ["2", "6"]),
+    ]
+    assert seq.final_vertex == "6"
+    seq = brute_collapsible(full_triangle())
+    assert [(sorted(p.free_face), sorted(p.coface)) for p in seq.pairs] == [
+        (["a", "b"], ["a", "b", "c"]), (["a"], ["a", "c"]), (["b"], ["b", "c"]),
+    ]
+    assert seq.final_vertex == "c"
 
 
 def test_collapse_cap():
