@@ -292,6 +292,27 @@ def _emit_split(S, side, x, y, children, case, members, rejected, trace, depth):
     return Split(y, mode, z, dl, lk)
 
 
+def _iterative(step):
+    """Run the recursion ``step`` on an explicit stack, at any depth.  It is
+    a generator function that yields the argument of each recursive call,
+    in order, is sent back that call's result and returns its own."""
+    @wraps(step)
+    def run(arg):
+        stack = [step(arg)]
+        result = None
+        while stack:
+            try:
+                arg = stack[-1].send(result)
+            except StopIteration as done:
+                stack.pop()
+                result = done.value
+            else:
+                stack.append(step(arg))
+                result = None
+        return result
+    return run
+
+
 # --- complex-level verification ------------------------------------------------
 
 
@@ -316,10 +337,12 @@ def verify_certificate(complex_, certificate):
     verify against the deletion and link of its vertex.  Returns a
     VerifyResult carrying the path to the first failing node.
     """
-    return _verify(complex_, certificate, ())
+    return _verify((complex_, certificate, ()))
 
 
-def _verify(c, node, path):
+@_iterative
+def _verify(args):
+    c, node, path = args
     if isinstance(node, Leaf):
         if len(c.vertices) != 1:
             return VerifyResult(
@@ -337,7 +360,7 @@ def _verify(c, node, path):
             return VerifyResult(
                 False, path, f"pruned vertices {sorted(overlap)} are present"
             )
-        return _verify(c, node.child, path + ("child",))
+        return (yield c, node.child, path + ("child",))
     if isinstance(node, Split):
         if node.vertex not in set(c.vertices):
             return VerifyResult(False, path, f"split vertex {node.vertex!r} missing")
@@ -345,14 +368,14 @@ def _verify(c, node, path):
             dl = c.deletion(node.vertex)
         except (LastVertex, UnknownVertex) as exc:
             return VerifyResult(False, path, f"deletion failed: {exc}")
-        result = _verify(dl, node.dl, path + ("dl",))
+        result = yield dl, node.dl, path + ("dl",)
         if not result.ok:
             return result
         try:
             lk = c.link(node.vertex)
         except (EmptyLink, UnknownVertex) as exc:
             return VerifyResult(False, path + ("lk",), f"link failed: {exc}")
-        return _verify(lk, node.lk, path + ("lk",))
+        return (yield lk, node.lk, path + ("lk",))
     return VerifyResult(False, path, f"unknown node {type(node).__name__}")
 
 
@@ -381,14 +404,15 @@ def extract_collapses(certificate, complex_):
     return sequence
 
 
+@_iterative
 def _extract(node):
     if isinstance(node, Leaf):
         return [], node.vertex
     if isinstance(node, Prune):
-        return _extract(node.child)
+        return (yield node.child)
     y = node.vertex
-    lk_pairs, w = _extract(node.lk)
-    dl_pairs, final = _extract(node.dl)
+    lk_pairs, w = yield node.lk
+    dl_pairs, final = yield node.dl
     lifted = [(a | {y}, b | {y}) for a, b in lk_pairs]
     lifted.append((frozenset({y}), frozenset({y, w})))
     return lifted + dl_pairs, final
@@ -399,41 +423,25 @@ def _extract(node):
 
 def certificate_ground(certificate):
     """The vertex set a certificate claims to certify."""
-    if isinstance(certificate, Leaf):
-        return frozenset({certificate.vertex})
-    if isinstance(certificate, Prune):
-        return certificate_ground(certificate.child)
-    return certificate_ground(certificate.dl) | {certificate.vertex}
+    ground, node = set(), certificate
+    while not isinstance(node, Leaf):
+        if isinstance(node, Prune):
+            node = node.child
+        else:
+            ground.add(node.vertex)
+            node = node.dl
+    ground.add(node.vertex)
+    return frozenset(ground)
 
 
+@_iterative
 def certificate_size(certificate):
     """Number of nodes, handy for summaries."""
     if isinstance(certificate, Leaf):
         return 1
     if isinstance(certificate, Prune):
-        return 1 + certificate_size(certificate.child)
-    return 1 + certificate_size(certificate.dl) + certificate_size(certificate.lk)
-
-
-def _iterative(step):
-    """Run the recursion ``step`` on an explicit stack, at any depth.  It is
-    a generator function that yields the argument of each recursive call,
-    in order, is sent back that call's result and returns its own."""
-    @wraps(step)
-    def run(arg):
-        stack = [step(arg)]
-        result = None
-        while stack:
-            try:
-                arg = stack[-1].send(result)
-            except StopIteration as done:
-                stack.pop()
-                result = done.value
-            else:
-                stack.append(step(arg))
-                result = None
-        return result
-    return run
+        return 1 + (yield certificate.child)
+    return 1 + (yield certificate.dl) + (yield certificate.lk)
 
 
 @_iterative

@@ -1,14 +1,30 @@
 """Order complexes and the complex-level operations the certifier relies on.
 
-A complex is stored by its maximal faces (facets); the full face list is
-materialised lazily when Euler characteristics or collapse replays need
-it.  The empty face is implicit and never listed.
+A complex lives on a vertex ground: a label tuple, its label -> position
+dict and a rank per position that fixes the canonical vertex order.  Faces
+are ``int`` masks over the positions; a complex stores its vertex mask and
+the frozenset of its maximal faces (facets).  ``order_complex`` takes the
+root lattice's own positions, labels and ranks as the ground, so every
+complex derived from one root (the certified complex of any sublattice
+view, and every link and deletion of it) shares that ground and equality
+is a comparison of ints.  Complexes on different grounds compare and hash
+by their labels.
+
+Link and deletion need no maximality pass.  Distinct facets f, g through
+a vertex v are incomparable, and so are f - v and g - v, since either
+inclusion would lift back to f and g.  So the link's facets are exactly
+the facets through v with v dropped.  In the deletion the facets avoiding
+v stay facets and no shrunk facet f - v contains one of them (it would lie
+in f); a shrunk facet is a facet unless it lies in a kept one, and that
+is the only test made.
+
+The full face list is materialised lazily when Euler characteristics or
+collapse replays need it.  The empty face is implicit and never listed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import (
     EmptyInterior,
@@ -22,55 +38,88 @@ from .errors import (
 from .lattice import InteriorSet, _bits
 
 
-def _maximalize(faces):
-    out = []
-    for f in sorted(set(faces), key=len, reverse=True):
-        if not any(f <= g for g in out):
-            out.append(f)
-    return frozenset(out)
-
-
 class Complex:
     """Abstract simplicial complex on labelled vertices.
 
-    ``vertices`` is the canonical order; ``facets`` the maximal faces.
-    Every vertex must lie in some facet (all singletons are faces), and
-    no facet may contain another.
+    ``vertices`` is the canonical order; ``facets`` the maximal faces, as
+    label sets.  Every vertex must lie in some facet (all singletons are
+    faces), and no facet may contain another.
     """
 
-    __slots__ = ("vertices", "facets", "_faces")
+    __slots__ = ("_label", "_pos", "_rank", "_vmask", "_facets", "_vertices",
+                 "_facet_sets", "_face_masks", "_faces")
 
     def __init__(self, vertices, faces):
         vertices = tuple(vertices)
         if not vertices:
             raise ValueError("a complex needs at least one vertex")
-        if len(set(vertices)) != len(vertices):
+        pos = {v: p for p, v in enumerate(vertices)}
+        if len(pos) != len(vertices):
             raise ValueError("duplicate vertex labels")
-        vset = set(vertices)
-        normalised = []
+        masks = set()
         for f in faces:
             fs = frozenset(f)
-            if not fs:
-                continue
-            bad = fs - vset
-            if bad:
-                raise UnknownVertex(f"face uses unknown vertices {sorted(bad)}")
-            normalised.append(fs)
-        facets = _maximalize(normalised)
-        covered = set().union(*facets) if facets else set()
-        if covered != vset:
-            missing = sorted(vset - covered)
+            mask = 0
+            for u in fs:
+                p = pos.get(u)
+                if p is None:
+                    bad = sorted(u for u in fs if u not in pos)
+                    raise UnknownVertex(f"face uses unknown vertices {bad}")
+                mask |= 1 << p
+            masks.add(mask)
+        masks.discard(0)
+        facets, covered = [], 0
+        for f in sorted(masks, key=int.bit_count, reverse=True):
+            if all(f & ~g for g in facets):
+                facets.append(f)
+                covered |= f
+        vmask = (1 << len(vertices)) - 1
+        if covered != vmask:
+            missing = sorted(vertices[p] for p in _bits(vmask & ~covered))
             raise ValueError(f"vertices {missing} appear in no facet")
-        self.vertices = vertices
-        self.facets = facets
-        self._faces = None
+        self._init(vertices, pos, range(len(vertices)), vmask, frozenset(facets))
+        self._vertices = vertices
+
+    def _init(self, label, pos, rank, vmask, facets):
+        self._label, self._pos, self._rank = label, pos, rank
+        self._vmask, self._facets = vmask, facets
+        self._vertices = self._facet_sets = self._face_masks = self._faces = None
+
+    def _derive(self, vmask, facets):
+        """A complex on the same ground."""
+        c = Complex.__new__(Complex)
+        c._init(self._label, self._pos, self._rank, vmask, facets)
+        return c
+
+    def _labels(self, mask):
+        """The labels in ``mask``, in canonical order."""
+        return tuple(map(self._label.__getitem__,
+                         sorted(_bits(mask), key=self._rank.__getitem__)))
 
     # -- structure ------------------------------------------------------------
 
+    @property
+    def vertices(self):
+        if self._vertices is None:
+            self._vertices = self._labels(self._vmask)
+        return self._vertices
+
+    @property
+    def facets(self):
+        if self._facet_sets is None:
+            label = self._label
+            self._facet_sets = frozenset(
+                frozenset(map(label.__getitem__, _bits(f))) for f in self._facets
+            )
+        return self._facet_sets
+
     def __eq__(self, other):
+        if not isinstance(other, Complex):
+            return False
+        if self._label is other._label:
+            return self._vmask == other._vmask and self._facets == other._facets
         return (
-            isinstance(other, Complex)
-            and set(self.vertices) == set(other.vertices)
+            set(self.vertices) == set(other.vertices)
             and self.facets == other.facets
         )
 
@@ -78,60 +127,89 @@ class Complex:
         return hash((frozenset(self.vertices), self.facets))
 
     def __repr__(self):
-        return f"Complex({len(self.vertices)} vertices, {len(self.facets)} facets)"
+        return (
+            f"Complex({self._vmask.bit_count()} vertices, "
+            f"{len(self._facets)} facets)"
+        )
+
+    def _face_mask_set(self):
+        """Every nonempty face as a mask (cached)."""
+        if self._face_masks is None:
+            faces = set()
+            for f in self._facets:
+                s = f
+                while s:
+                    faces.add(s)
+                    s = (s - 1) & f
+            self._face_masks = frozenset(faces)
+        return self._face_masks
 
     def all_faces(self):
         """Every nonempty face, as a frozenset of frozensets (cached)."""
         if self._faces is None:
-            faces = set()
-            for facet in self.facets:
-                items = tuple(facet)
-                for k in range(1, len(items) + 1):
-                    faces.update(map(frozenset, combinations(items, k)))
-            self._faces = frozenset(faces)
+            label = self._label
+            self._faces = frozenset(
+                frozenset(map(label.__getitem__, _bits(s)))
+                for s in self._face_mask_set()
+            )
         return self._faces
 
     def face_count(self):
-        return len(self.all_faces())
+        return len(self._face_mask_set())
 
     def reduced_euler(self):
         """Alternating face-count sum, shifted so a point scores 0."""
-        return sum(-1 if len(f) % 2 == 0 else 1 for f in self.all_faces()) - 1
+        return sum(1 if s.bit_count() & 1 else -1 for s in self._face_mask_set()) - 1
 
     # -- vertex operations ------------------------------------------------------
 
-    def _check_vertex(self, v):
-        if v not in set(self.vertices):
+    def _bit(self, v):
+        p = self._pos.get(v)
+        if p is None or not self._vmask >> p & 1:
             raise UnknownVertex(f"unknown vertex {v!r}")
+        return 1 << p
 
     def link(self, v):
         """Faces whose union with v is a face, on the neighbours of v."""
-        self._check_vertex(v)
-        shrunk = [f - {v} for f in self.facets if v in f]
-        shrunk = [f for f in shrunk if f]
-        if not shrunk:
+        b = self._bit(v)
+        # facets through v stay incomparable without v: no maximality pass
+        facets = frozenset([f ^ b for f in self._facets if f & b])
+        vmask = 0
+        for f in facets:
+            vmask |= f
+        if not vmask:
             raise EmptyLink(f"vertex {v!r} is isolated")
-        keep = set().union(*shrunk)
-        return Complex([u for u in self.vertices if u in keep], shrunk)
+        return self._derive(vmask, facets)
 
     def deletion(self, v):
         """The complex minus every face containing v."""
-        self._check_vertex(v)
-        if len(self.vertices) < 2:
+        b = self._bit(v)
+        if self._vmask == b:
             raise LastVertex("cannot delete the only vertex")
-        faces = [f - {v} if v in f else f for f in self.facets]
-        faces = [f for f in faces if f]
-        return Complex([u for u in self.vertices if u != v], faces)
+        kept, star = [], []
+        for f in self._facets:
+            (star if f & b else kept).append(f)
+        facets = set(kept)
+        for f in star:
+            # f - v can only lie in a facet that avoids v
+            g = f ^ b
+            if g and all(g & ~k for k in kept):
+                facets.add(g)
+        return self._derive(self._vmask ^ b, frozenset(facets))
 
     # -- serialisation ------------------------------------------------------------
 
     def to_obj(self):
-        order = {v: i for i, v in enumerate(self.vertices)}
+        rank = self._rank.__getitem__
         facets = sorted(
-            (sorted(f, key=order.get) for f in self.facets),
-            key=lambda f: [order[v] for v in f],
+            [sorted(_bits(f), key=rank) for f in self._facets],
+            key=lambda ps: list(map(rank, ps)),
         )
-        return {"vertices": list(self.vertices), "facets": [list(f) for f in facets]}
+        label = self._label.__getitem__
+        return {
+            "vertices": list(self.vertices),
+            "facets": [list(map(label, ps)) for ps in facets],
+        }
 
     @classmethod
     def from_obj(cls, obj):
@@ -196,47 +274,44 @@ class CollapseSequence:
 def order_complex(interior):
     """The complex whose faces are the chains of an interior poset.
 
-    Facets are the maximal chains; they are enumerated by walking cover
-    steps of the induced order from its minimal members.
+    Facets are the maximal chains, enumerated on an explicit stack by
+    walking cover steps of the induced order from its minimal members.
+    The vertex ground is the lattice's root.
     """
     if not isinstance(interior, InteriorSet):
         raise TypeError("order_complex expects an InteriorSet")
     members = interior.members
     if not members:
         raise EmptyInterior("the interior set is empty")
-    poset = interior.lattice.poset
-    k = len(members)
-    idx = {m: i for i, m in enumerate(members)}
-    above = [0] * k
-    for i, u in enumerate(members):
-        for v in poset.above(u):
-            if v in idx:
-                above[i] |= 1 << idx[v]
-    covers = [0] * k
-    for i in range(k):
-        shadow = 0
-        for j in _bits(above[i]):
-            shadow |= above[j]
-        covers[i] = above[i] & ~shadow
-    is_minimal = [True] * k
-    for i in range(k):
-        for j in _bits(above[i]):
-            is_minimal[j] = False
+    P = interior.lattice.poset
+    pos, up, down, rev = P._pos, P._up, P._down, P._rev
+    vmask = 0
+    for m in members:
+        vmask |= 1 << pos[m]
+    # bits follow a linear extension of the root (reversed on a dual), so
+    # the first bit of what is left of a strict up-set is a cover, and
+    # dropping its up-set leaves only elements not above any cover found
+    covers, stack = {}, []
+    for p in _bits(vmask):
+        rest, cover = up[p] & vmask & ~(1 << p), 0
+        while rest:
+            q = rest.bit_length() - 1 if rev else (rest & -rest).bit_length() - 1
+            cover |= 1 << q
+            rest &= ~up[q]
+        covers[p] = cover
+        if down[p] & vmask == 1 << p:
+            stack.append((p, 1 << p))
     facets = []
-
-    def extend(i, chain):
-        if not covers[i]:
-            facets.append(frozenset(chain))
-            return
-        for j in _bits(covers[i]):
-            chain.append(members[j])
-            extend(j, chain)
-            chain.pop()
-
-    for i in range(k):
-        if is_minimal[i]:
-            extend(i, [members[i]])
-    return Complex(members, facets)
+    while stack:
+        p, chain = stack.pop()
+        if not covers[p]:
+            facets.append(chain)
+        for q in _bits(covers[p]):
+            stack.append((q, chain | 1 << q))
+    c = Complex.__new__(Complex)
+    c._init(P._label, pos, P._rank, vmask, frozenset(facets))
+    c._vertices = members
+    return c
 
 
 def replay_collapses(complex_, sequence):
@@ -246,31 +321,43 @@ def replay_collapses(complex_, sequence):
     surviving complex is not exactly the stated final vertex; returns the
     final (single-point) complex otherwise.
     """
-    faces = set(complex_.all_faces())
-    vertices = complex_.vertices
+    faces = set(complex_._face_mask_set())
+    pos, vmask = complex_._pos, complex_._vmask
+
+    def mask(labels):
+        """The face mask of ``labels``, or None if one is not a vertex."""
+        m = 0
+        for u in labels:
+            p = pos.get(u)
+            if p is None or not vmask >> p & 1:
+                return None
+            m |= 1 << p
+        return m
+
     for index, pair in enumerate(sequence.pairs):
-        free, coface = pair.free_face, pair.coface
-        if free not in faces:
-            raise NotFreePair(index, "not-a-face", f"{sorted(free)}")
+        free = mask(pair.free_face)
+        if free is None or free not in faces:
+            raise NotFreePair(index, "not-a-face", f"{sorted(pair.free_face)}")
         cofaces = [
-            free | {u} for u in vertices if u not in free and free | {u} in faces
+            free | 1 << p for p in _bits(vmask & ~free) if free | 1 << p in faces
         ]
         if len(cofaces) != 1:
             raise NotFreePair(
                 index, "multiple-cofaces",
-                f"{sorted(free)} has {len(cofaces)} cofaces",
+                f"{sorted(pair.free_face)} has {len(cofaces)} cofaces",
             )
-        if cofaces[0] != coface:
+        if cofaces[0] != mask(pair.coface):
             raise NotFreePair(
                 index, "wrong-coface",
-                f"expected {sorted(cofaces[0])}, got {sorted(coface)}",
+                f"expected {sorted(complex_._labels(cofaces[0]))}, "
+                f"got {sorted(pair.coface)}",
             )
         faces.remove(free)
-        faces.remove(coface)
-    expected = {frozenset({sequence.final_vertex})}
-    if faces != expected:
+        faces.remove(cofaces[0])
+    final = sequence.final_vertex
+    if faces != {mask((final,))}:
         raise ReplayMismatch(
             f"{len(faces)} faces remain after replay, "
-            f"expected the single vertex {sequence.final_vertex!r}"
+            f"expected the single vertex {final!r}"
         )
-    return Complex([sequence.final_vertex], [frozenset({sequence.final_vertex})])
+    return Complex([final], [frozenset({final})])

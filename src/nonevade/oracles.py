@@ -26,42 +26,18 @@ def memo_key(complex_):
 
 def brute_nonevasive(complex_, cap=NONEVASIVE_CAP, memo=None):
     """Literal recursion: one vertex, or some vertex whose deletion and
-    link are both nonevasive.  An isolated vertex fails its link branch."""
-    if len(complex_.vertices) > cap:
-        raise CapExceeded(
-            f"{len(complex_.vertices)} vertices exceeds the cap of {cap}"
-        )
-    if memo is None:
-        memo = {}
-    return _brute_nev(complex_, memo)
-
-
-def _brute_nev(c, memo):
-    if len(c.vertices) == 1:
-        return True
-    key = memo_key(c)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    result = False
-    for v in c.vertices:
-        try:
-            lk = c.link(v)
-        except EmptyLink:
-            continue
-        if _brute_nev(c.deletion(v), memo) and _brute_nev(lk, memo):
-            result = True
-            break
-    memo[key] = result
-    return result
+    link are both nonevasive.  An isolated vertex fails its link branch.
+    Nonevasive means exactly that a certificate exists."""
+    return brute_certificate(complex_, cap, memo) is not None
 
 
 def brute_certificate(complex_, cap=NONEVASIVE_CAP, memo=None):
     """Search for a certificate that verify_certificate would accept.
 
-    Same recursion as brute_nonevasive but it returns a witness tree (or
-    None).  The Split nodes carry a synthetic mode/link-element, since no
-    lattice is involved; verification ignores both.
+    The definitional recursion behind brute_nonevasive, returning a
+    witness tree (or None).  The Split nodes carry a synthetic
+    mode/link-element, since no lattice is involved; verification ignores
+    both.
     """
     if len(complex_.vertices) > cap:
         raise CapExceeded(

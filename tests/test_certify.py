@@ -12,6 +12,7 @@ from nonevade.certify import (
     certificate_complex,
     certificate_from_obj,
     certificate_ground,
+    certificate_size,
     certificate_to_obj,
     certify,
     extract_collapses,
@@ -212,6 +213,22 @@ def test_deep_prune_chain_round_trips_in_process():
         obj, back = obj["child"], back.child
     assert obj == {"type": "leaf", "vertex": "a"}
     assert back == Leaf("a")
+
+
+def test_deep_prune_chain_verifies_and_extracts():
+    # verification, extraction and the size count keep their own stack too
+    depth = 1500
+    cert = Leaf("a")
+    for level in range(depth):
+        cert = Prune((f"p{level}",), cert)
+    point = Complex(["a"], [{"a"}])
+    assert verify_certificate(point, cert).ok
+    sequence = extract_collapses(cert, point)
+    assert sequence.pairs == () and sequence.final_vertex == "a"
+    assert certificate_size(cert) == depth + 1
+    assert certificate_ground(cert) == frozenset({"a"})
+    bad = verify_certificate(Complex(["a", "p7"], [{"a", "p7"}]), cert)
+    assert not bad.ok and len(bad.path) == depth - 1 - 7
 
 
 def test_certificate_from_obj_rejects_garbage():

@@ -1,7 +1,10 @@
 from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from nonevade.certify import certificate_complex, interior_members
 
 from nonevade.complexes import (
     CollapsePair,
@@ -19,7 +22,7 @@ from nonevade.errors import (
     UnknownVertex,
 )
 from nonevade.lattice import generate, parse_lattice
-from nonevade.corpus import M3_TEXT
+from nonevade.corpus import M3_TEXT, random_complexes, random_corpus
 
 
 def path_complex():
@@ -55,6 +58,17 @@ def test_complex_equality_ignores_vertex_order():
     assert one == two
 
 
+def test_equality_on_one_vertex_ground_compares_facets():
+    # a link and a deletion share their parent's vertex ground; here they
+    # have the same vertices but different facets
+    cone = Complex("abcx", [{"a", "b", "c"}, {"a", "x"}, {"b", "x"}, {"c", "x"}])
+    link, deletion = cone.link("x"), cone.deletion("x")
+    assert link.vertices == deletion.vertices == ("a", "b", "c")
+    assert link != deletion
+    assert deletion == Complex("cba", [{"a", "b", "c"}])
+    assert link == Complex("abc", [{"a"}, {"b"}, {"c"}])
+
+
 def test_serialisation_round_trip():
     c = path_complex()
     assert Complex.from_obj(c.to_obj()) == c
@@ -88,6 +102,14 @@ def test_order_complex_rejects_empty_interior():
     chain = generate("chain", 2)
     with pytest.raises(EmptyInterior):
         order_complex(chain.interior_set())
+
+
+def test_order_complex_of_a_deep_chain_is_one_simplex():
+    # 1,200 cover steps: the maximal chains are walked on an explicit stack
+    chain = generate("chain", 1202)
+    c = order_complex(chain.interior_set())
+    assert c.facets == frozenset({frozenset(chain.interior())})
+    assert c.vertices == chain.interior()
 
 
 def test_order_complex_faces_are_chains():
@@ -257,3 +279,111 @@ def test_atom_link_identity_random(seed):
             assert order_complex(lat.interior_set(above)) == whole.link(y)
         if below_free:
             assert order_complex(lat.interior_set(below_free)) == whole.deletion(y)
+
+
+# --- the mask representation against the definitions ------------------------------
+
+
+def _closure(facets):
+    """Every nonempty subset of the given label sets."""
+    faces = set()
+    for f in facets:
+        items = sorted(f)
+        for k in range(1, len(items) + 1):
+            faces.update(map(frozenset, combinations(items, k)))
+    return faces
+
+
+def _chains(members, leq):
+    """Every nonempty chain among ``members``, by brute force."""
+    chains = [frozenset()]
+    for m in members:
+        chains += [ch | {m} for ch in chains
+                   if all(leq(u, m) or leq(m, u) for u in ch)]
+    return {ch for ch in chains if ch}
+
+
+def _check_against(c, faces, vertices, picks, rng):
+    """c against the reference complex with face set ``faces`` and canonical
+    vertex order ``vertices``, then its links and deletions chosen by
+    ``picks`` against their definitions on the reference."""
+    assert c.vertices == vertices
+    assert c.all_faces() == frozenset(faces)
+    assert c.facets == frozenset(f for f in faces if not any(f < g for g in faces))
+    assert c.face_count() == len(faces)
+    assert c.reduced_euler() == sum(1 if len(f) % 2 else -1 for f in faces) - 1
+    # equality and hash follow labels, also against a complex built on
+    # another vertex ground from redundant faces in a shuffled order
+    order, listed = list(vertices), sorted(faces, key=sorted)
+    rng.shuffle(order)
+    rng.shuffle(listed)
+    other = Complex(order, listed)
+    assert other == c and c == other and hash(other) == hash(c)
+    if not picks:
+        return
+    (op, i), rest = picks[0], picks[1:]
+    v = vertices[i % len(vertices)]
+    if op == "link":
+        expected = {f - {v} for f in faces if v in f and len(f) > 1}
+        if not expected:
+            with pytest.raises(EmptyLink):
+                c.link(v)
+            return
+        child, same = c.link(v), other.link(v)
+    else:
+        expected = {f for f in faces if v not in f}
+        if len(vertices) == 1:
+            with pytest.raises(LastVertex):
+                c.deletion(v)
+            return
+        child, same = c.deletion(v), other.deletion(v)
+    assert child == same and hash(child) == hash(same)
+    assert child != c
+    kept = tuple(u for u in vertices if frozenset({u}) in expected)
+    _check_against(child, expected, kept, rest, rng)
+
+
+_PICKS = st.lists(st.tuples(st.sampled_from(["link", "deletion"]),
+                            st.integers(min_value=0, max_value=1_000)), max_size=5)
+_RANDOM_COMPLEXES = [c for _, c in random_complexes()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(index=st.integers(min_value=0, max_value=len(_RANDOM_COMPLEXES) - 1),
+       picks=_PICKS, shuffle=st.integers(min_value=0, max_value=1_000))
+def test_random_complexes_match_the_definitions(index, picks, shuffle):
+    c = _RANDOM_COMPLEXES[index]
+    _check_against(c, _closure(c.facets), c.vertices, picks, Random(shuffle))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       steps=st.lists(st.sampled_from(["remove_atom", "interval", "dual"]),
+                      max_size=3),
+       pick=st.integers(min_value=0, max_value=1_000),
+       picks=_PICKS, shuffle=st.integers(min_value=0, max_value=1_000))
+def test_order_complexes_of_views_match_the_definitions(seed, steps, pick, picks,
+                                                         shuffle):
+    # the certified complexes of sublattice views, as certify and the audit
+    # build them, against maximal chains found by brute force
+    (_, root), = random_corpus(count=1, seed_start=seed)
+    lat = root
+    for step in steps:
+        if len(lat.interior()) < 2:
+            break
+        if step == "dual":
+            lat = lat.dual()
+        elif step == "remove_atom":
+            lat = lat.remove_atom(lat.atoms[pick % len(lat.atoms)])
+        else:
+            lat = lat.interval(lat.atoms[pick % len(lat.atoms)], lat.top)
+    if not lat.interior():
+        return
+    x = lat.interior()[pick % len(lat.interior())]
+    members = interior_members(lat, x)
+    if not members:
+        return
+    c = certificate_complex(lat, x)
+    _check_against(c, _chains(members, lat.leq), members, picks, Random(shuffle))
+    # every complex of one root shares its vertex ground
+    assert order_complex(root.interior_set(members)) == c
