@@ -2,18 +2,20 @@
 
 ``certify`` runs the constructive elimination recursion on a lattice and
 a chosen interior element, producing a certificate tree whose nodes are
-Leaf, Prune and Split.  ``verify_certificate`` checks a certificate
+Leaf, Prune and Split; a repeated subproblem is one shared node, so in
+memory the tree is a DAG.  ``verify_certificate`` checks a certificate
 against a complex using nothing but link/deletion, and
 ``extract_collapses`` compiles a verified certificate into an explicit
-elementary-collapse sequence.
+elementary-collapse sequence.  Every walker does its work once per
+distinct node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import partial, wraps
 
-from .complexes import CollapsePair, CollapseSequence, order_complex, replay_collapses
+from .complexes import CollapsePair, CollapseSequence, _chain_complex, replay_collapses
 from .errors import (
     ElementOnBoundary,
     EmptyLink,
@@ -92,17 +94,24 @@ class CertifyTrace:
         return ", ".join(parts)
 
 
-def interior_members(lattice, element):
-    """The certified vertex set: interior elements that do not complement ``element``."""
+def _certified_mask(lattice, element):
+    """The lattice's poset view and the positions of the certified vertex
+    set: the interior minus the complements of ``element``."""
     if element == lattice.bottom or element == lattice.top:
         raise ElementOnBoundary(f"{element!r} is a bound of the lattice")
-    co = set(lattice.complements(element))
-    return tuple(e for e in lattice.interior() if e not in co)
+    P = lattice.poset
+    return P, lattice._interior_mask() & ~lattice._complement_mask(P._at(element))
+
+
+def interior_members(lattice, element):
+    """The certified vertex set: interior elements that do not complement ``element``."""
+    P, vmask = _certified_mask(lattice, element)
+    return P._labels(vmask)
 
 
 def certificate_complex(lattice, element):
     """Order complex of the vertex set certify(lattice, element) works on."""
-    return order_complex(lattice.interior_set(interior_members(lattice, element)))
+    return _chain_complex(*_certified_mask(lattice, element))
 
 
 def certify(lattice, element):
@@ -140,33 +149,65 @@ def certify(lattice, element):
     and leave a lattice, a split vertex is a vertex and its link element
     is interior) are still re-checked; a violation raises
     InternalAssertion because it indicates a bug, never bad input.
+
+    Different paths through the recursion often reach the same sublattice
+    with the same element.  One call solves each such subproblem once and
+    returns the same node object wherever it recurs, so the certificate is
+    a DAG whose size in memory is the number of distinct subproblems; it
+    still reads as a tree (its JSON is the tree written out).  The trace
+    stays the tree's preorder log: a repeated subproblem replays the
+    entries of its first solve, with their depths shifted.
     """
     trace = CertifyTrace()
-    cert = _certify(lattice, element, trace, 0)
+    cert = _certify(lattice, element, trace, 0, {})
     return cert, trace
 
 
 def _split_sound(S, x, y, co):
     """The deletion and link children of a split on an atom y of S, or None
-    when the split is unsound: the deletion must keep the complement set co
-    of x, and the complements of join(x, y) in [y, top] must be exactly the
-    members of co above y.  A coatom split is screened on the dual."""
+    when the split is unsound: the deletion must keep the complement set of
+    x (the mask co), and the complements of join(x, y) in [y, top] must be
+    exactly the members of co above y.  A coatom split is screened on the
+    dual."""
+    pos = S.poset._pos
     dl = S.remove_atom(y)
-    if set(dl.complements(x)) != co:
+    if dl._complement_mask(pos[x]) != co:
         return None
     lk = S.interval(y, S.top)
-    if set(lk.complements(S.join(x, y))) != co & set(lk.elements):
+    if lk._complement_mask(pos[S.join(x, y)]) != co & lk.poset._mask:
         return None
     return dl, lk
 
 
-def _certify(L, x, trace, depth):
+def _certify(L, x, trace, depth, memo):
+    """The certificate for (L, x), solved once per call.  A view is fixed by
+    its root, member mask and orientation; a repeat returns the first
+    node and replays its trace entries, one contiguous preorder slice."""
+    key = (L.poset._mask, L.poset._rev, x)
+    entries = trace.entries
+    seen = memo.get(key)
+    if seen is not None:
+        node, start, end, first_depth = seen
+        shift = depth - first_depth
+        entries.extend([{**e, "depth": e["depth"] + shift}
+                        for e in entries[start:end]])
+        return node
+    start = len(entries)
+    node = _solve(L, x, trace, depth, memo)
+    memo[key] = node, start, len(entries), depth
+    return node
+
+
+def _solve(L, x, trace, depth, memo):
     if x == L.bottom or x == L.top:
         raise ElementOnBoundary(f"{x!r} is a bound of the lattice")
-    co = set(L.complements(x))
-    members = tuple(e for e in L.interior() if e not in co)
+    P = L.poset
+    co_mask = L._complement_mask(P._at(x))
+    co = set(P._labels(co_mask))
+    interior = L._interior_mask()
+    members = P._labels(interior & ~co_mask)
 
-    if len(L.interior()) == 1:
+    if interior.bit_count() == 1:
         trace.record(
             depth=depth, case="leaf", lattice_size=len(L), interior_size=1,
             vertex=x,
@@ -186,12 +227,12 @@ def _certify(L, x, trace, depth):
                 rejected.append((y, "order"))
                 continue
             had_case1_candidate = True
-            children = _split_sound(S, x, y, co)
+            children = _split_sound(S, x, y, co_mask)
             if children is None:
                 rejected.append((y, "witness"))
                 continue
             return _emit_split(S, side, x, y, children, "case1", members,
-                               rejected, trace, depth)
+                               rejected, trace, depth, memo)
 
     # prune: complements sitting among atoms/coatoms drag their whole
     # comparability components out of the lattice
@@ -202,14 +243,15 @@ def _certify(L, x, trace, depth):
             if comp & seeds:
                 removed |= comp
         node = _try_prune(L, x, co, members, removed,
-                          hard=not had_case1_candidate, trace=trace, depth=depth)
+                          hard=not had_case1_candidate, trace=trace, depth=depth,
+                          memo=memo)
         if node is not None:
             return node
 
     # fallback prune: discard complements one at a time where sound
     for s in (e for e in L.elements if e in co):
         node = _try_prune(L, x, co, members, {s}, hard=False,
-                          trace=trace, depth=depth)
+                          trace=trace, depth=depth, memo=memo)
         if node is not None:
             return node
 
@@ -219,10 +261,10 @@ def _certify(L, x, trace, depth):
         for y in S.atoms:
             if y == x or not S.leq(y, x):
                 continue
-            children = _split_sound(S, x, y, co)
+            children = _split_sound(S, x, y, co_mask)
             if children is not None:
                 return _emit_split(S, side, x, y, children, "case2", members,
-                                   rejected, trace, depth)
+                                   rejected, trace, depth, memo)
             rejected.append((y, "witness"))
 
     raise InternalAssertion(
@@ -233,7 +275,7 @@ def _certify(L, x, trace, depth):
     )
 
 
-def _try_prune(L, x, co, members, removed, hard, trace, depth):
+def _try_prune(L, x, co, members, removed, hard, trace, depth, memo):
     """Validate and emit a Prune, or report why it is unusable.
 
     With hard=True (the scans produced no case-1 candidate at all, so the
@@ -263,10 +305,12 @@ def _try_prune(L, x, co, members, removed, hard, trace, depth):
         depth=depth, case="prune", lattice_size=len(L),
         interior_size=len(members), removed=list(removed_ordered),
     )
-    return Prune(removed_ordered, _certify(child_lattice, x, trace, depth + 1))
+    return Prune(removed_ordered,
+                 _certify(child_lattice, x, trace, depth + 1, memo))
 
 
-def _emit_split(S, side, x, y, children, case, members, rejected, trace, depth):
+def _emit_split(S, side, x, y, children, case, members, rejected, trace, depth,
+                memo):
     """Split on an atom y of S, where S is the lattice or its dual, recursing
     on the children that passed the soundness screen.
 
@@ -287,26 +331,42 @@ def _emit_split(S, side, x, y, children, case, members, rejected, trace, depth):
         interior_size=len(members), vertex=y, link_element=z,
         rejected=[list(r) for r in rejected],
     )
-    dl = _certify(dl_lattice, x, trace, depth + 1)
-    lk = _certify(lk_lattice, z, trace, depth + 1)
+    dl = _certify(dl_lattice, x, trace, depth + 1, memo)
+    lk = _certify(lk_lattice, z, trace, depth + 1, memo)
     return Split(y, mode, z, dl, lk)
 
 
-def _iterative(step):
+_UNSEEN = object()
+
+
+def _iterative(step, key=None):
     """Run the recursion ``step`` on an explicit stack, at any depth.  It is
     a generator function that yields the argument of each recursive call,
-    in order, is sent back that call's result and returns its own."""
+    in order, is sent back that call's result and returns its own.
+
+    With ``key``, one run keeps each call's result under ``key(arg)`` and
+    answers a later call with an equal key from it instead of stepping
+    again; keyed on the node, a certificate walker does its work once per
+    distinct node of a DAG."""
     @wraps(step)
     def run(arg):
-        stack = [step(arg)]
-        result = None
+        # keys runs parallel to stack; the first call is never looked up
+        memo, keys, stack, result = {}, [None], [step(arg)], None
         while stack:
             try:
                 arg = stack[-1].send(result)
             except StopIteration as done:
                 stack.pop()
                 result = done.value
+                if key is not None:
+                    memo[keys.pop()] = result
             else:
+                if key is not None:
+                    k = key(arg)
+                    result = memo.get(k, _UNSEEN)
+                    if result is not _UNSEEN:
+                        continue
+                    keys.append(k)
                 stack.append(step(arg))
                 result = None
         return result
@@ -336,11 +396,15 @@ def verify_certificate(complex_, certificate):
     must verify against the same complex, and a Split's children must
     verify against the deletion and link of its vertex.  Returns a
     VerifyResult carrying the path to the first failing node.
+
+    A node reached again with an equal complex is not checked again.  All
+    complexes of one call share the input's vertex ground, and a failure
+    ends the walk, so only ok results are ever reused.
     """
     return _verify((complex_, certificate, ()))
 
 
-@_iterative
+@partial(_iterative, key=lambda args: (id(args[1]), args[0]._vmask, args[0]._facets))
 def _verify(args):
     c, node, path = args
     if isinstance(node, Leaf):
@@ -404,7 +468,7 @@ def extract_collapses(certificate, complex_):
     return sequence
 
 
-@_iterative
+@partial(_iterative, key=id)
 def _extract(node):
     if isinstance(node, Leaf):
         return [], node.vertex
@@ -434,7 +498,7 @@ def certificate_ground(certificate):
     return frozenset(ground)
 
 
-@_iterative
+@partial(_iterative, key=id)
 def certificate_size(certificate):
     """Number of nodes, handy for summaries."""
     if isinstance(certificate, Leaf):
@@ -512,75 +576,84 @@ def audit_certificate(lattice, element, certificate):
     the deletion/link of the parent complex, and (b) the complement-set
     identities behind the case-1 reductions (or emptiness for case 2).
     Prunes must leave the complex label-identical.  Returns an
-    AuditReport listing every discrepancy.
+    AuditReport listing every discrepancy, at every path where it occurs.
+    A node reached again on the same sublattice with the same element is
+    not audited again: its tally, failures included, is reused under the
+    new path.
     """
-    report = AuditReport()
-    _audit(lattice, element, certificate, certificate_complex(lattice, element),
-           (), report)
-    return report
+    splits, prunes, leaves, failures = _audit(
+        (lattice, element, certificate, certificate_complex(lattice, element))
+    )
+    return AuditReport(splits, prunes, leaves, [
+        f"{'/'.join(path) or 'root'}: {what}" for path, what in failures
+    ])
 
 
-def _audit(L, x, node, c, path, report):
-    where = "/".join(path) or "root"
+def _below(step, failures):
+    """Failures of a child, with their paths made relative to the parent."""
+    return [((step,) + path, what) for path, what in failures]
+
+
+# the complex a node is audited against is the certified complex of its
+# (sublattice, element), so that pair and the node identify the audit
+@partial(_iterative, key=lambda args: (
+    id(args[2]), args[0].poset._mask, args[0].poset._rev, args[1]))
+def _audit(args):
+    """Tally (splits, prunes, leaves, failures) of one subtree; a failure is
+    a (path below this node, message) pair."""
+    L, x, node, c = args
     if isinstance(node, Leaf):
-        report.leaves += 1
         if len(c.vertices) != 1 or c.vertices[0] != node.vertex:
-            report.failures.append(f"{where}: leaf does not match the complex")
-        return
+            return 0, 0, 1, [((), "leaf does not match the complex")]
+        return 0, 0, 1, []
     if isinstance(node, Prune):
-        report.prunes += 1
         removed = set(node.removed)
-        co = set(L.complements(x))
         if x in removed:
-            report.failures.append(f"{where}: prune removed the certified element")
-            return
-        if not removed <= co:
-            report.failures.append(f"{where}: prune removed non-complements")
-            return
+            return 0, 1, 0, [((), "prune removed the certified element")]
+        if not removed <= set(L.complements(x)):
+            return 0, 1, 0, [((), "prune removed non-complements")]
         try:
             child_L = L.restrict([e for e in L.elements if e not in removed])
         except NonevadeError as exc:
-            report.failures.append(f"{where}: prune leaves no lattice: {exc}")
-            return
-        child_c = certificate_complex(child_L, x)
-        if child_c != c:
-            report.failures.append(f"{where}: complex changed across a prune")
-            return
-        _audit(child_L, x, node.child, c, path + ("child",), report)
-        return
+            return 0, 1, 0, [((), f"prune leaves no lattice: {exc}")]
+        if certificate_complex(child_L, x) != c:
+            return 0, 1, 0, [((), "complex changed across a prune")]
+        splits, prunes, leaves, failures = yield child_L, x, node.child, c
+        return splits, prunes + 1, leaves, _below("child", failures)
     # Split: a coatom step is audited as an atom step of the dual
-    report.splits += 1
     y = node.vertex
     case, side = node.mode.split("_")
     S = L.dual() if side == "coatom" else L
     if y == x or y not in S.atoms or y not in c.vertices:
-        report.failures.append(
-            f"{where}: {node.mode} split vertex {y!r} is not one of the "
+        return 1, 0, 0, [((), (
+            f"{node.mode} split vertex {y!r} is not one of the "
             f"{side}s in the complex other than {x!r}"
-        )
-        return
-    co = set(L.complements(x))
+        ))]
+    failures = []
+    pos = L.poset._pos
+    co = L._complement_mask(pos[x])
     dl_L, lk_L = S.remove_atom(y), S.interval(y, S.top)
     if side == "coatom":
         dl_L, lk_L = dl_L.dual(), lk_L.dual()
     z = S.join(x, y)
     if (case == "case2") != S.leq(y, x):
-        report.failures.append(
-            f"{where}: mode {node.mode} disagrees with how {y!r} compares to {x!r}"
-        )
+        failures.append(f"mode {node.mode} disagrees with how {y!r} compares to {x!r}")
     if node.link_element != z:
-        report.failures.append(
-            f"{where}: recorded link element {node.link_element!r}, derived {z!r}"
-        )
-    if set(dl_L.complements(x)) != co:
-        report.failures.append(f"{where}: deletion-side complement set changed")
-    if set(lk_L.complements(z)) != co & set(lk_L.elements):
-        report.failures.append(f"{where}: link-side complement set mismatch")
+        failures.append(f"recorded link element {node.link_element!r}, derived {z!r}")
+    if dl_L._complement_mask(pos[x]) != co:
+        failures.append("deletion-side complement set changed")
+    if lk_L._complement_mask(pos[z]) != co & lk_L.poset._mask:
+        failures.append("link-side complement set mismatch")
     dl_c = certificate_complex(dl_L, x)
     lk_c = certificate_complex(lk_L, z)
     if dl_c != c.deletion(y):
-        report.failures.append(f"{where}: deletion identity fails at {y!r}")
+        failures.append(f"deletion identity fails at {y!r}")
     if lk_c != c.link(y):
-        report.failures.append(f"{where}: link identity fails at {y!r}")
-    _audit(dl_L, x, node.dl, dl_c, path + ("dl",), report)
-    _audit(lk_L, z, node.lk, lk_c, path + ("lk",), report)
+        failures.append(f"link identity fails at {y!r}")
+    dl_splits, dl_prunes, dl_leaves, dl_failures = yield dl_L, x, node.dl, dl_c
+    lk_splits, lk_prunes, lk_leaves, lk_failures = yield lk_L, z, node.lk, lk_c
+    return (
+        1 + dl_splits + lk_splits, dl_prunes + lk_prunes, dl_leaves + lk_leaves,
+        [((), what) for what in failures]
+        + _below("dl", dl_failures) + _below("lk", lk_failures),
+    )

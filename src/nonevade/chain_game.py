@@ -8,8 +8,9 @@ subset is a chain using at most |ground| - 1 questions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .certify import Leaf, Prune, certificate_ground
+from .certify import Leaf, Prune, _iterative, certificate_ground
 from .errors import CapExceeded, GroundMismatch, ParseError
 
 GAME_CAP = 16
@@ -69,6 +70,9 @@ def compile_strategy(certificate, ground):
     soon as one is present; afterwards the link child takes over on the
     link's vertex set.  A Leaf answers yes without a question, which is
     what keeps the budget one below the ground size.
+
+    A certificate node reached again on the same ground is compiled once,
+    so a certificate DAG gives a strategy DAG.
     """
     ground = tuple(ground)
     implied = certificate_ground(certificate)
@@ -76,27 +80,32 @@ def compile_strategy(certificate, ground):
         raise GroundMismatch(
             f"certificate covers {sorted(implied)}, ground is {sorted(ground)}"
         )
-    return _compile(certificate, ground)
+    return _compile((certificate, ground, {}))
 
 
-def _compile(node, ground):
+@partial(_iterative, key=lambda args: (id(args[0]), args[1]))
+def _compile(args):
+    # link_grounds: certificate_ground of each link child seen, by node id
+    node, ground, link_grounds = args
     if isinstance(node, Leaf):
         if ground != (node.vertex,):
             raise GroundMismatch(f"leaf {node.vertex!r} against ground {ground}")
         return Answer(True)
     if isinstance(node, Prune):
-        return _compile(node.child, ground)
+        return (yield node.child, ground, link_grounds)
     y = node.vertex
     if y not in ground:
         raise GroundMismatch(f"split vertex {y!r} missing from ground {ground}")
     rest = tuple(v for v in ground if v != y)
-    link_vertices = certificate_ground(node.lk)
+    link_vertices = link_grounds.get(id(node.lk))
+    if link_vertices is None:
+        link_vertices = link_grounds[id(node.lk)] = certificate_ground(node.lk)
     if not link_vertices <= frozenset(rest):
         raise GroundMismatch(f"link vertices escape the ground at {y!r}")
-    yes = _compile(node.lk, tuple(v for v in rest if v in link_vertices))
+    yes = yield node.lk, tuple(v for v in rest if v in link_vertices), link_grounds
     for dead in reversed([v for v in rest if v not in link_vertices]):
         yes = Query(dead, Answer(False), yes)
-    return Query(y, yes, _compile(node.dl, rest))
+    return Query(y, yes, (yield node.dl, rest, link_grounds))
 
 
 def play(strategy, hidden):
@@ -132,7 +141,7 @@ def exhaustive_check(strategy, ground, leq, cap=GAME_CAP):
             if leq(u, v) or leq(v, u):
                 comparable[i] |= 1 << j
 
-    compiled = _flatten(strategy, index)
+    compiled = _flatten((strategy, index))
     mismatches = 0
     max_queries = 0
     histogram = {}
@@ -166,28 +175,32 @@ def exhaustive_check(strategy, ground, leq, cap=GAME_CAP):
     )
 
 
-def _flatten(node, index):
+@partial(_iterative, key=lambda args: id(args[0]))
+def _flatten(args):
+    node, index = args
     if isinstance(node, Answer):
         return ("a", node.is_chain)
     return (
         "q",
         1 << index[node.vertex],
-        _flatten(node.yes, index),
-        _flatten(node.no, index),
+        (yield node.yes, index),
+        (yield node.no, index),
     )
 
 
+@_iterative
 def strategy_to_obj(strategy):
     if isinstance(strategy, Answer):
         return {"type": "answer", "chain": strategy.is_chain}
     return {
         "type": "query",
         "vertex": strategy.vertex,
-        "yes": strategy_to_obj(strategy.yes),
-        "no": strategy_to_obj(strategy.no),
+        "yes": (yield strategy.yes),
+        "no": (yield strategy.no),
     }
 
 
+@_iterative
 def strategy_from_obj(obj):
     if not isinstance(obj, dict) or "type" not in obj:
         raise ParseError("strategy node must be an object with a type")
@@ -198,15 +211,16 @@ def strategy_from_obj(obj):
         if kind == "query":
             return Query(
                 obj["vertex"],
-                strategy_from_obj(obj["yes"]),
-                strategy_from_obj(obj["no"]),
+                (yield obj["yes"]),
+                (yield obj["no"]),
             )
     except KeyError as exc:
         raise ParseError(f"bad strategy node: missing {exc}") from None
     raise ParseError(f"unknown strategy node type {kind!r}")
 
 
+@partial(_iterative, key=id)
 def strategy_depth(strategy):
     if isinstance(strategy, Answer):
         return 0
-    return 1 + max(strategy_depth(strategy.yes), strategy_depth(strategy.no))
+    return 1 + max((yield strategy.yes), (yield strategy.no))

@@ -274,20 +274,28 @@ class CollapseSequence:
 def order_complex(interior):
     """The complex whose faces are the chains of an interior poset.
 
-    Facets are the maximal chains, enumerated on an explicit stack by
-    walking cover steps of the induced order from its minimal members.
-    The vertex ground is the lattice's root.
+    Facets are the maximal chains of the induced order; the vertex ground
+    is the lattice's root.
     """
     if not isinstance(interior, InteriorSet):
         raise TypeError("order_complex expects an InteriorSet")
-    members = interior.members
-    if not members:
+    if not interior.members:
         raise EmptyInterior("the interior set is empty")
     P = interior.lattice.poset
-    pos, up, down, rev = P._pos, P._up, P._down, P._rev
     vmask = 0
-    for m in members:
-        vmask |= 1 << pos[m]
+    for m in interior.members:
+        vmask |= 1 << P._pos[m]
+    return _chain_complex(P, vmask)
+
+
+def _chain_complex(P, vmask):
+    """The order complex of the members of poset view ``P`` at the positions
+    in the nonzero ``vmask``, on the ground of P's root.
+
+    Facets are the maximal chains, enumerated on an explicit stack by
+    walking cover steps of the induced order from its minimal members.
+    """
+    up, down, rev = P._up, P._down, P._rev
     # bits follow a linear extension of the root (reversed on a dual), so
     # the first bit of what is left of a strict up-set is a cover, and
     # dropping its up-set leaves only elements not above any cover found
@@ -309,8 +317,7 @@ def order_complex(interior):
         for q in _bits(covers[p]):
             stack.append((q, chain | 1 << q))
     c = Complex.__new__(Complex)
-    c._init(P._label, pos, P._rank, vmask, frozenset(facets))
-    c._vertices = members
+    c._init(P._label, P._pos, P._rank, vmask, frozenset(facets))
     return c
 
 

@@ -380,16 +380,26 @@ class Lattice:
         return self.poset.covers()
 
     def complements(self, x):
-        """All y with meet(x, y) = bottom and join(x, y) = top: the elements
-        above no atom below x and below no coatom above x."""
+        """All y with meet(x, y) = bottom and join(x, y) = top, in canonical
+        order."""
         P = self.poset
-        p = P._at(x)
+        return P._labels(self._complement_mask(P._at(x)))
+
+    def _complement_mask(self, p):
+        """The complements of the member at position p: the members above no
+        atom below p and below no coatom above p."""
+        P = self.poset
         blocked = 0
         for a in _bits(P._down[p] & self._atom_mask):
             blocked |= P._up[a]
         for c in _bits(P._up[p] & self._coatom_mask):
             blocked |= P._down[c]
-        return P._labels(P._mask & ~blocked)
+        return P._mask & ~blocked
+
+    def _interior_mask(self):
+        """The members other than bottom and top."""
+        P = self.poset
+        return P._mask & ~(1 << P._pos[self.bottom]) & ~(1 << P._pos[self.top])
 
     # -- transforms ---------------------------------------------------------------
 

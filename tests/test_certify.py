@@ -19,9 +19,9 @@ from nonevade.certify import (
     interior_members,
     verify_certificate,
 )
-from nonevade.chain_game import compile_strategy, strategy_to_obj
+from nonevade.chain_game import Answer, compile_strategy, strategy_to_obj
 from nonevade.complexes import Complex, replay_collapses
-from nonevade.corpus import M3_TEXT, N5_TEXT, named_corpus
+from nonevade.corpus import M3_TEXT, N5_TEXT, named_corpus, random_corpus
 from nonevade.errors import (
     ElementOnBoundary,
     ParseError,
@@ -188,6 +188,185 @@ def test_named_corpus_outputs_are_byte_identical():
     )
 
 
+def test_named_corpus_traces_are_unchanged():
+    # pins the decision trace of every named corpus instance: repeated
+    # subproblems are solved once but must replay the same entries
+    digest = hashlib.sha256()
+    for name, lat in named_corpus():
+        for x in lat.interior():
+            _, trace = certify(lat, x)
+            digest.update(name.encode() + b"\n")
+            digest.update(x.encode() + b"\n")
+            text = json.dumps(trace.to_obj(), sort_keys=True, separators=(",", ":"))
+            digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "9ed029f187cc412e81e52fdc92a34d1f3aaff7529ec5984473b7f488b3cba5f5"
+    )
+
+
+# --- sharing: the certificate is a DAG ---------------------------------------------
+
+
+def _distinct_nodes(cert):
+    """The node objects of a certificate, each once, by identity."""
+    seen, stack = {}, [cert]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        if isinstance(node, Prune):
+            stack.append(node.child)
+        elif isinstance(node, Split):
+            stack += [node.dl, node.lk]
+    return list(seen.values())
+
+
+def _occurrences(cert):
+    """How many tree paths reach each node object, by id."""
+    count, stack = {}, [cert]
+    while stack:
+        node = stack.pop()
+        count[id(node)] = count.get(id(node), 0) + 1
+        if isinstance(node, Prune):
+            stack.append(node.child)
+        elif isinstance(node, Split):
+            stack += [node.dl, node.lk]
+    return count
+
+
+def _replace(cert, target, new):
+    """``cert`` with the node object ``target`` replaced by ``new``
+    everywhere; a node above no replacement stays the same object."""
+    done = {}
+
+    def walk(node):
+        if node is target:
+            return new
+        if id(node) not in done:
+            out = node
+            if isinstance(node, Prune):
+                child = walk(node.child)
+                if child is not node.child:
+                    out = Prune(node.removed, child)
+            elif isinstance(node, Split):
+                dl, lk = walk(node.dl), walk(node.lk)
+                if dl is not node.dl or lk is not node.lk:
+                    out = Split(node.vertex, node.mode, node.link_element, dl, lk)
+            done[id(node)] = out
+        return done[id(node)]
+
+    return walk(cert)
+
+
+def test_chain_certificate_shares_its_subproblems():
+    chain = generate("chain", 14)
+    cert, trace = certify(chain, "g")
+    assert certificate_size(cert) == len(trace) == 4095
+    assert len(_distinct_nodes(cert)) == 168
+    tree = certificate_from_obj(certificate_to_obj(cert))
+    assert len(_distinct_nodes(tree)) == 4095
+
+
+def _outcomes(lat, x, cert):
+    """Everything the checkers and compilers say about one certificate."""
+    complex_ = certificate_complex(lat, x)
+    verdict = verify_certificate(complex_, cert)
+    report = audit_certificate(lat, x, cert)
+    collapses = extract_collapses(cert, complex_).to_obj() if verdict.ok else None
+    strategy = strategy_to_obj(compile_strategy(cert, complex_.vertices))
+    return (verdict, report.splits, report.prunes, report.leaves,
+            report.failures, collapses, strategy)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       pick=st.integers(min_value=0, max_value=1_000))
+def test_dag_certificates_check_like_their_trees(seed, pick):
+    # the JSON round trip writes the DAG out as a tree with no sharing;
+    # every walker must say the same about both, also when a shared
+    # subtree is wrong
+    (_, lat), = random_corpus(count=1, seed_start=seed)
+    x = lat.interior()[pick % len(lat.interior())]
+    cert, _ = certify(lat, x)
+    tree = certificate_from_obj(certificate_to_obj(cert))
+    outcome = _outcomes(lat, x, cert)
+    assert outcome == _outcomes(lat, x, tree)
+    assert outcome[0].ok and outcome[4] == []
+    count = _occurrences(cert)
+    shared = [node for node in _distinct_nodes(cert)
+              if isinstance(node, Split) and count[id(node)] > 1]
+    if not shared:
+        return
+    target = shared[pick % len(shared)]
+    wrong = Split(target.vertex, target.mode, lat.top, target.dl, target.lk)
+    broken = _replace(cert, target, wrong)
+    outcome = _outcomes(lat, x, broken)
+    assert outcome == _outcomes(lat, x, certificate_from_obj(
+        certificate_to_obj(broken)))
+    failures = outcome[4]
+    assert len(failures) == count[id(target)]
+    assert len(set(failures)) == len(failures)
+    assert all("recorded link element" in f for f in failures)
+
+
+def _subproblems(lat, x, cert):
+    """The (sublattice elements, element) pairs each node is reached at,
+    derived with coatom deletions and lower intervals, by node id."""
+    out, stack = {}, [(lat, x, cert)]
+    while stack:
+        L, e, node = stack.pop()
+        out.setdefault(id(node), (node, set()))[1].add((L.elements, e))
+        if isinstance(node, Prune):
+            kept = [u for u in L.elements if u not in node.removed]
+            stack.append((L.restrict(kept), e, node.child))
+        elif isinstance(node, Split):
+            if node.mode.endswith("coatom"):
+                dl = L.remove_coatom(node.vertex)
+                lk = L.interval(L.bottom, node.vertex)
+            else:
+                dl = L.remove_atom(node.vertex)
+                lk = L.interval(node.vertex, L.top)
+            stack += [(dl, e, node.dl), (lk, node.link_element, node.lk)]
+    return out
+
+
+def test_one_sublattice_certified_at_two_elements():
+    # the one sublattice of the acceptance corpus that certify reaches with
+    # two different elements: the memo keys must tell them apart
+    (_, lat), = random_corpus(count=1, seed_start=485)
+    x = "(p0+p1+p6)"
+    cert, _ = certify(lat, x)
+    assert verify_certificate(certificate_complex(lat, x), cert).ok
+    assert audit_certificate(lat, x, cert).ok
+    by_sublattice = {}
+    for node, reached in _subproblems(lat, x, cert).values():
+        assert len(reached) == 1
+        (elements, e), = reached
+        by_sublattice.setdefault(elements, {})[e] = node
+    (first, second), = [tuple(by_element.values())
+                        for by_element in by_sublattice.values()
+                        if len(by_element) > 1]
+    # either node standing in for the other breaks the audit there, in the
+    # DAG as in its tree
+    for node, stand_in in ((first, second), (second, first)):
+        broken = _replace(cert, node, stand_in)
+        tree = certificate_from_obj(certificate_to_obj(broken))
+        report = audit_certificate(lat, x, broken)
+        assert not report.ok
+        assert report.failures == audit_certificate(lat, x, tree).failures
+
+
+def test_verify_rechecks_a_shared_node_on_another_complex():
+    # in the hollow triangle the deletion and the link of v have the same
+    # vertices but not the same faces: the edge ab verifies, the two
+    # points a, b do not
+    edge = Split("a", "case2_atom", "b", Leaf("b"), Leaf("b"))
+    triangle = Complex("vab", [{"v", "a"}, {"v", "b"}, {"a", "b"}])
+    result = verify_certificate(triangle, Split("v", "case1_atom", "a", edge, edge))
+    assert not result.ok and result.path == ("lk", "lk")
+
+
 # --- serialisation --------------------------------------------------------------------
 
 
@@ -229,6 +408,19 @@ def test_deep_prune_chain_verifies_and_extracts():
     assert certificate_ground(cert) == frozenset({"a"})
     bad = verify_certificate(Complex(["a", "p7"], [{"a", "p7"}]), cert)
     assert not bad.ok and len(bad.path) == depth - 1 - 7
+
+
+def test_deep_prune_chain_audits_and_compiles():
+    # the audit and the strategy compiler keep their own stack as well
+    depth = 1500
+    cert = Leaf("a")
+    for _ in range(depth):
+        cert = Prune((), cert)
+    chain = generate("chain", 3)
+    report = audit_certificate(chain, "a", cert)
+    assert report.ok
+    assert (report.splits, report.prunes, report.leaves) == (0, depth, 1)
+    assert compile_strategy(cert, ["a"]) == Answer(True)
 
 
 def test_certificate_from_obj_rejects_garbage():

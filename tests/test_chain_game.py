@@ -168,6 +168,26 @@ def test_strategy_round_trip(d12):
     assert strategy_from_obj(strategy_to_obj(strategy)) == strategy
 
 
+def test_deep_strategy_round_trips_and_measures():
+    # 1,500 levels is past the default recursion limit; the serialisers and
+    # the depth count keep their own stack
+    depth = 1500
+    strategy = Answer(True)
+    for level in range(depth):
+        strategy = Query(f"v{level}", Answer(False), strategy)
+    obj = strategy_to_obj(strategy)
+    back = strategy_from_obj(obj)
+    assert strategy_depth(strategy) == strategy_depth(back) == depth
+    # compared level by level: == on the dataclasses still recurses
+    for level in reversed(range(depth)):
+        assert obj["vertex"] == back.vertex == f"v{level}"
+        assert obj["yes"] == {"type": "answer", "chain": False}
+        assert back.yes == Answer(False)
+        obj, back = obj["no"], back.no
+    assert obj == {"type": "answer", "chain": True}
+    assert back == Answer(True)
+
+
 # --- the query budget as a property ----------------------------------------------------
 
 
