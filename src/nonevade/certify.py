@@ -69,27 +69,40 @@ class Split:
 
 
 class CertifyTrace:
-    """Ordered log of the decisions a certification run took."""
+    """The decisions a certification run took, stored once per distinct node
+    of the certificate DAG.  ``entries``, ``to_obj`` and ``summary`` write
+    them out as the tree's preorder log, each entry with its tree depth;
+    ``len`` counts the tree's nodes without writing it out."""
 
-    def __init__(self):
-        self.entries = []
+    def __init__(self, root, records):
+        self._root, self._records = root, records
 
-    def record(self, **entry):
-        self.entries.append(entry)
+    @property
+    def entries(self):
+        out, stack = [], [(self._root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            out.append({"depth": depth, **self._records[id(node)]})
+            if isinstance(node, Prune):
+                stack.append((node.child, depth + 1))
+            elif isinstance(node, Split):
+                stack += [(node.lk, depth + 1), (node.dl, depth + 1)]
+        return out
 
     def __len__(self):
-        return len(self.entries)
+        return certificate_size(self._root)
 
     def to_obj(self):
-        return list(self.entries)
+        return self.entries
 
     def summary(self):
+        entries = self.entries
         cases = {}
         max_depth = 0
-        for e in self.entries:
+        for e in entries:
             cases[e["case"]] = cases.get(e["case"], 0) + 1
             max_depth = max(max_depth, e["depth"])
-        parts = [f"{len(self.entries)} decisions", f"max depth {max_depth}"]
+        parts = [f"{len(entries)} decisions", f"max depth {max_depth}"]
         parts += [f"{k}: {cases[k]}" for k in sorted(cases)]
         return ", ".join(parts)
 
@@ -154,186 +167,15 @@ def certify(lattice, element):
     with the same element.  One call solves each such subproblem once and
     returns the same node object wherever it recurs, so the certificate is
     a DAG whose size in memory is the number of distinct subproblems; it
-    still reads as a tree (its JSON is the tree written out).  The trace
-    stays the tree's preorder log: a repeated subproblem replays the
-    entries of its first solve, with their depths shifted.
+    still reads as a tree (its JSON is the tree written out).  The
+    recursion runs on an explicit stack, so any depth is certified.  The
+    trace stores each distinct node's decision once and is written out as
+    the tree's preorder log only by its ``entries``, ``to_obj`` and
+    ``summary``.
     """
-    trace = CertifyTrace()
-    cert = _certify(lattice, element, trace, 0, {})
-    return cert, trace
-
-
-def _split_sound(S, x, y, co):
-    """The deletion and link children of a split on an atom y of S, or None
-    when the split is unsound: the deletion must keep the complement set of
-    x (the mask co), and the complements of join(x, y) in [y, top] must be
-    exactly the members of co above y.  A coatom split is screened on the
-    dual."""
-    pos = S.poset._pos
-    dl = S.remove_atom(y)
-    if dl._complement_mask(pos[x]) != co:
-        return None
-    lk = S.interval(y, S.top)
-    if lk._complement_mask(pos[S.join(x, y)]) != co & lk.poset._mask:
-        return None
-    return dl, lk
-
-
-def _certify(L, x, trace, depth, memo):
-    """The certificate for (L, x), solved once per call.  A view is fixed by
-    its root, member mask and orientation; a repeat returns the first
-    node and replays its trace entries, one contiguous preorder slice."""
-    key = (L.poset._mask, L.poset._rev, x)
-    entries = trace.entries
-    seen = memo.get(key)
-    if seen is not None:
-        node, start, end, first_depth = seen
-        shift = depth - first_depth
-        entries.extend([{**e, "depth": e["depth"] + shift}
-                        for e in entries[start:end]])
-        return node
-    start = len(entries)
-    node = _solve(L, x, trace, depth, memo)
-    memo[key] = node, start, len(entries), depth
-    return node
-
-
-def _solve(L, x, trace, depth, memo):
-    if x == L.bottom or x == L.top:
-        raise ElementOnBoundary(f"{x!r} is a bound of the lattice")
-    P = L.poset
-    co_mask = L._complement_mask(P._at(x))
-    co = set(P._labels(co_mask))
-    interior = L._interior_mask()
-    members = P._labels(interior & ~co_mask)
-
-    if interior.bit_count() == 1:
-        trace.record(
-            depth=depth, case="leaf", lattice_size=len(L), interior_size=1,
-            vertex=x,
-        )
-        return Leaf(x)
-
-    # a coatom step on L is an atom step on its dual, so every scan runs
-    # over both sides; remember whether the plain order-theoretic case-1
-    # conditions ever matched, since the prune step is only guaranteed when
-    # they never do
-    sides = ((L, "atom"), (L.dual(), "coatom"))
-    had_case1_candidate = False
-    rejected = []
-    for S, side in sides:
-        for y in S.atoms:
-            if S.leq(y, x) or S.join(x, y) == S.top:
-                rejected.append((y, "order"))
-                continue
-            had_case1_candidate = True
-            children = _split_sound(S, x, y, co_mask)
-            if children is None:
-                rejected.append((y, "witness"))
-                continue
-            return _emit_split(S, side, x, y, children, "case1", members,
-                               rejected, trace, depth, memo)
-
-    # prune: complements sitting among atoms/coatoms drag their whole
-    # comparability components out of the lattice
-    seeds = {y for S, _ in sides for y in S.atoms if y in co}
-    if seeds:
-        removed = set()
-        for comp in L.comparability_components():
-            if comp & seeds:
-                removed |= comp
-        node = _try_prune(L, x, co, members, removed,
-                          hard=not had_case1_candidate, trace=trace, depth=depth,
-                          memo=memo)
-        if node is not None:
-            return node
-
-    # fallback prune: discard complements one at a time where sound
-    for s in (e for e in L.elements if e in co):
-        node = _try_prune(L, x, co, members, {s}, hard=False,
-                          trace=trace, depth=depth, memo=memo)
-        if node is not None:
-            return node
-
-    # comparable splits: an atom below x, else a coatom above x; with no
-    # complements anywhere this is the classic endgame and always succeeds
-    for S, side in sides:
-        for y in S.atoms:
-            if y == x or not S.leq(y, x):
-                continue
-            children = _split_sound(S, x, y, co_mask)
-            if children is not None:
-                return _emit_split(S, side, x, y, children, "case2", members,
-                                   rejected, trace, depth, memo)
-            rejected.append((y, "witness"))
-
-    raise InternalAssertion(
-        "no-sound-step",
-        f"no vertex or discard passes the soundness screen "
-        f"(element {x!r}, interior {sorted(L.interior())}, "
-        f"complements {sorted(co)})",
-    )
-
-
-def _try_prune(L, x, co, members, removed, hard, trace, depth, memo):
-    """Validate and emit a Prune, or report why it is unusable.
-
-    With hard=True (the scans produced no case-1 candidate at all, so the
-    discard is theory-guaranteed) failures raise InternalAssertion; with
-    hard=False the caller falls through to the next stage.
-    """
-    def fail(tag, detail):
-        if hard:
-            raise InternalAssertion(tag, detail)
-        return None
-
-    if x in removed:
-        return fail("prune-contains-element",
-                    f"{x!r} in discard set {sorted(removed)}")
-    if not removed <= co:
-        return fail("prune-not-complements",
-                    f"{sorted(removed - co)} are not complements of {x!r}")
-    try:
-        child_lattice = L.restrict([e for e in L.elements if e not in removed])
-    except NonevadeError as exc:
-        return fail("prune-sublattice", str(exc))
-    if set(child_lattice.complements(x)) != co - removed:
-        return fail("prune-invariance",
-                    "complement set changed after discarding")
-    removed_ordered = tuple(e for e in L.elements if e in removed)
-    trace.record(
-        depth=depth, case="prune", lattice_size=len(L),
-        interior_size=len(members), removed=list(removed_ordered),
-    )
-    return Prune(removed_ordered,
-                 _certify(child_lattice, x, trace, depth + 1, memo))
-
-
-def _emit_split(S, side, x, y, children, case, members, rejected, trace, depth,
-                memo):
-    """Split on an atom y of S, where S is the lattice or its dual, recursing
-    on the children that passed the soundness screen.
-
-    Children built on the dual are dualled back, so the recursion always
-    sees the lattice in its original orientation.
-    """
-    if y not in members:
-        raise InternalAssertion("split-vertex-outside", f"{y!r} not in {members}")
-    z = S.join(x, y)
-    if z == S.top or z == S.bottom:
-        raise InternalAssertion("split-degenerate-z", f"z={z!r} for vertex {y!r}")
-    dl_lattice, lk_lattice = children
-    if side == "coatom":
-        dl_lattice, lk_lattice = dl_lattice.dual(), lk_lattice.dual()
-    mode = f"{case}_{side}"
-    trace.record(
-        depth=depth, case=mode, lattice_size=len(S),
-        interior_size=len(members), vertex=y, link_element=z,
-        rejected=[list(r) for r in rejected],
-    )
-    dl = _certify(dl_lattice, x, trace, depth + 1, memo)
-    lk = _certify(lk_lattice, z, trace, depth + 1, memo)
-    return Split(y, mode, z, dl, lk)
+    records = {}
+    cert = _certify((lattice, element, records))
+    return cert, CertifyTrace(cert, records)
 
 
 _UNSEEN = object()
@@ -371,6 +213,163 @@ def _iterative(step, key=None):
                 result = None
         return result
     return run
+
+
+def _split_sound(S, x, y, co):
+    """The deletion and link children of a split on an atom y of S, or None
+    when the split is unsound: the deletion must keep the complement set of
+    x (the mask co), and the complements of join(x, y) in [y, top] must be
+    exactly the members of co above y.  A coatom split is screened on the
+    dual."""
+    pos = S.poset._pos
+    dl = S.remove_atom(y)
+    if dl._complement_mask(pos[x]) != co:
+        return None
+    lk = S.interval(y, S.top)
+    if lk._complement_mask(pos[S.join(x, y)]) != co & lk.poset._mask:
+        return None
+    return dl, lk
+
+
+def _record(records, node, **entry):
+    """Store the decision that made ``node`` under its id, and return it."""
+    records[id(node)] = entry
+    return node
+
+
+# a view is fixed by its root, member mask and orientation
+@partial(_iterative, key=lambda args: (
+    args[0].poset._mask, args[0].poset._rev, args[1]))
+def _certify(args):
+    """The certificate for (L, x); a recursive call yields (view, element,
+    records).  A prune or split that fails its checks returns before any
+    node is built, so every node recorded is in the certificate."""
+    L, x, records = args
+    if x == L.bottom or x == L.top:
+        raise ElementOnBoundary(f"{x!r} is a bound of the lattice")
+    P = L.poset
+    co_mask = L._complement_mask(P._at(x))
+    co = set(P._labels(co_mask))
+    interior = L._interior_mask()
+    members = P._labels(interior & ~co_mask)
+
+    if interior.bit_count() == 1:
+        return _record(records, Leaf(x), case="leaf", lattice_size=len(L),
+                       interior_size=1, vertex=x)
+
+    # a coatom step on L is an atom step on its dual, so every scan runs
+    # over both sides; remember whether the plain order-theoretic case-1
+    # conditions ever matched, since the prune step is only guaranteed when
+    # they never do
+    sides = ((L, "atom"), (L.dual(), "coatom"))
+    had_case1_candidate = False
+    rejected = []
+    for S, side in sides:
+        for y in S.atoms:
+            if S.leq(y, x) or S.join(x, y) == S.top:
+                rejected.append((y, "order"))
+                continue
+            had_case1_candidate = True
+            children = _split_sound(S, x, y, co_mask)
+            if children is None:
+                rejected.append((y, "witness"))
+                continue
+            return (yield from _emit_split(S, side, x, y, children, "case1",
+                                           members, rejected, records))
+
+    # prune: complements sitting among atoms/coatoms drag their whole
+    # comparability components out of the lattice
+    seeds = {y for S, _ in sides for y in S.atoms if y in co}
+    if seeds:
+        removed = set()
+        for comp in L.comparability_components():
+            if comp & seeds:
+                removed |= comp
+        node = yield from _try_prune(L, x, co, members, removed, records,
+                                     hard=not had_case1_candidate)
+        if node is not None:
+            return node
+
+    # fallback prune: discard complements one at a time where sound
+    for s in (e for e in L.elements if e in co):
+        node = yield from _try_prune(L, x, co, members, {s}, records,
+                                     hard=False)
+        if node is not None:
+            return node
+
+    # comparable splits: an atom below x, else a coatom above x; with no
+    # complements anywhere this is the classic endgame and always succeeds
+    for S, side in sides:
+        for y in S.atoms:
+            if y == x or not S.leq(y, x):
+                continue
+            children = _split_sound(S, x, y, co_mask)
+            if children is not None:
+                return (yield from _emit_split(S, side, x, y, children, "case2",
+                                               members, rejected, records))
+            rejected.append((y, "witness"))
+
+    raise InternalAssertion(
+        "no-sound-step",
+        f"no vertex or discard passes the soundness screen "
+        f"(element {x!r}, interior {sorted(L.interior())}, "
+        f"complements {sorted(co)})",
+    )
+
+
+def _try_prune(L, x, co, members, removed, records, hard):
+    """Validate and emit a Prune, or report why it is unusable.
+
+    With hard=True (the scans produced no case-1 candidate at all, so the
+    discard is theory-guaranteed) failures raise InternalAssertion; with
+    hard=False the caller falls through to the next stage.
+    """
+    def fail(tag, detail):
+        if hard:
+            raise InternalAssertion(tag, detail)
+        return None
+
+    if x in removed:
+        return fail("prune-contains-element",
+                    f"{x!r} in discard set {sorted(removed)}")
+    if not removed <= co:
+        return fail("prune-not-complements",
+                    f"{sorted(removed - co)} are not complements of {x!r}")
+    try:
+        child_lattice = L.restrict([e for e in L.elements if e not in removed])
+    except NonevadeError as exc:
+        return fail("prune-sublattice", str(exc))
+    if set(child_lattice.complements(x)) != co - removed:
+        return fail("prune-invariance",
+                    "complement set changed after discarding")
+    removed_ordered = tuple(e for e in L.elements if e in removed)
+    child = yield child_lattice, x, records
+    return _record(records, Prune(removed_ordered, child), case="prune",
+                   lattice_size=len(L), interior_size=len(members),
+                   removed=list(removed_ordered))
+
+
+def _emit_split(S, side, x, y, children, case, members, rejected, records):
+    """Split on an atom y of S, where S is the lattice or its dual, recursing
+    on the children that passed the soundness screen.
+
+    Children built on the dual are dualled back, so the recursion always
+    sees the lattice in its original orientation.
+    """
+    if y not in members:
+        raise InternalAssertion("split-vertex-outside", f"{y!r} not in {members}")
+    z = S.join(x, y)
+    if z == S.top or z == S.bottom:
+        raise InternalAssertion("split-degenerate-z", f"z={z!r} for vertex {y!r}")
+    dl_lattice, lk_lattice = children
+    if side == "coatom":
+        dl_lattice, lk_lattice = dl_lattice.dual(), lk_lattice.dual()
+    mode = f"{case}_{side}"
+    dl = yield dl_lattice, x, records
+    lk = yield lk_lattice, z, records
+    return _record(records, Split(y, mode, z, dl, lk), case=mode,
+                   lattice_size=len(S), interior_size=len(members), vertex=y,
+                   link_element=z, rejected=[list(r) for r in rejected])
 
 
 # --- complex-level verification ------------------------------------------------

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import chain_game, oracles, suite as suite_mod
 from .certify import (
@@ -61,11 +61,7 @@ class Caps:
 
     @classmethod
     def resolve(cls, flags):
-        values = {
-            "nonevasive": oracles.NONEVASIVE_CAP,
-            "game": chain_game.GAME_CAP,
-            "collapse_faces": oracles.COLLAPSE_FACE_CAP,
-        }
+        values = asdict(cls())
         env = os.environ.get("NONEVADE_CAPS", "")
         if env:
             for item in env.split(","):

@@ -55,10 +55,6 @@ class NotAnAtom(NonevadeError):
     """remove_atom called on an element that does not cover bottom."""
 
 
-class NotACoatom(NotAnAtom):
-    """remove_coatom called on an element not covered by top."""
-
-
 class UnknownFamily(NonevadeError):
     """generate() does not know the requested lattice family."""
 

@@ -23,7 +23,6 @@ from .errors import (
     ElementOnBoundary,
     NoUniqueBottom,
     NoUniqueTop,
-    NotACoatom,
     NotALattice,
     NotAnAtom,
     NotComparable,
@@ -320,8 +319,8 @@ class Lattice:
     Construction validates everything: unique minimum and maximum, and a
     unique greatest lower / least upper bound for every pair (raising
     NotALattice with the offending witnesses otherwise).  Intervals, atom
-    and coatom deletions and duals are lattices by construction: they pass
-    their bounds' positions as ``_bounds`` and skip the check.
+    deletions and duals are lattices by construction: they pass their
+    bounds' positions as ``_bounds`` and skip the check.
     """
 
     __slots__ = ("poset", "bottom", "top", "atoms", "coatoms", "_atom_mask",
@@ -424,13 +423,6 @@ class Lattice:
         bottom = P._at(self.bottom)
         top = bottom if y == self.top else P._at(self.top)
         return Lattice(P._view(P._mask & ~(1 << P._at(y))), (bottom, top))
-
-    def remove_coatom(self, y):
-        """The order dual of :meth:`remove_atom`."""
-        if y not in self.coatoms:
-            self.poset._at(y)  # UnknownElement unless y is an element
-            raise NotACoatom(f"{y!r} is not a coatom")
-        return self.dual().remove_atom(y).dual()
 
     def dual(self):
         """Order reversed: bottom/top, meet/join, atoms/coatoms all swap."""

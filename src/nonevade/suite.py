@@ -93,11 +93,11 @@ class CorpusRun:
         self.instances = []
         self.certify_failures = []
         self.certify_seconds = 0.0
-        t0 = time.time()
+        t0 = time.perf_counter()
         for name, lattice in self.corpus:
             for x in lattice.interior():
                 try:
-                    cert, trace = certify(lattice, x)
+                    cert, _ = certify(lattice, x)
                     complex_ = certificate_complex(lattice, x)
                     result = verify_certificate(complex_, cert)
                     if not result.ok:
@@ -110,7 +110,7 @@ class CorpusRun:
                     self.certify_failures.append(f"{name}/{x}: {exc}")
                     continue
                 self.instances.append((name, lattice, x, cert, complex_))
-        self.certify_seconds = time.time() - t0
+        self.certify_seconds = time.perf_counter() - t0
 
 
 def criterion_certification(run):
@@ -129,7 +129,7 @@ def criterion_certification(run):
 def criterion_oracle_equivalence(run, nonevasive_cap=12, complex_count=50):
     """2: the brute oracle accepts every certified complex, and agrees
     with certificate search on arbitrary complexes."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     memo = {}
     checked = 0
@@ -161,14 +161,14 @@ def criterion_oracle_equivalence(run, nonevasive_cap=12, complex_count=50):
             f"{complex_count} random complexes ({nev_count} nonevasive) agree "
             f"with certificate search"
         ),
-        seconds=time.time() - t0,
+        seconds=time.perf_counter() - t0,
         failures=failures,
     )
 
 
 def criterion_collapse_extraction(run):
     """3: extraction replays to one vertex with exactly (faces-1)/2 pairs."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for name, lattice, x, cert, complex_ in run.instances:
         try:
@@ -186,14 +186,14 @@ def criterion_collapse_extraction(run):
         title="collapse extraction",
         passed=not failures,
         detail=f"{len(run.instances)} collapse sequences replayed",
-        seconds=time.time() - t0,
+        seconds=time.perf_counter() - t0,
         failures=failures,
     )
 
 
 def criterion_query_bound(run, game_cap=16):
     """4: the strategy decides every hidden subset within |ground|-1 queries."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     checked = 0
     worst = 0
@@ -218,14 +218,14 @@ def criterion_query_bound(run, game_cap=16):
         title="query bound",
         passed=not failures,
         detail=f"{checked} strategies exhausted, budget never exceeded",
-        seconds=time.time() - t0,
+        seconds=time.perf_counter() - t0,
         failures=failures,
     )
 
 
 def criterion_mobius_vanishing(run):
     """5: Möbius zero for noncomplemented lattices; equals reduced Euler."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     noncomp = 0
     for name, lattice in run.corpus:
@@ -249,14 +249,14 @@ def criterion_mobius_vanishing(run):
             f"{len(run.corpus)} lattices, {noncomp} noncomplemented, "
             f"euler = mobius throughout"
         ),
-        seconds=time.time() - t0,
+        seconds=time.perf_counter() - t0,
         failures=failures,
     )
 
 
 def criterion_proof_identities(run):
     """6: link/deletion identities and complement witnesses at every split."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     splits = 0
     for name, lattice, x, cert, complex_ in run.instances:
@@ -269,14 +269,14 @@ def criterion_proof_identities(run):
         title="proof identities",
         passed=not failures,
         detail=f"{splits} splits audited across {len(run.instances)} instances",
-        seconds=time.time() - t0,
+        seconds=time.perf_counter() - t0,
         failures=failures,
     )
 
 
 def criterion_spot_checks():
     """7: frozen known values."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     d12 = generate("divisor", 12)
     cert, _ = certify(d12, "2")
@@ -298,7 +298,7 @@ def criterion_spot_checks():
         title="known-value spot checks",
         passed=not failures,
         detail="divisor-12 root, boolean-2 prune, mobius values",
-        seconds=time.time() - t0,
+        seconds=time.perf_counter() - t0,
         failures=failures,
     )
 

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nonevade
 from nonevade.certify import (
     Leaf,
     Prune,
@@ -268,6 +273,45 @@ def test_chain_certificate_shares_its_subproblems():
     assert len(_distinct_nodes(tree)) == 4095
 
 
+def test_long_chain_trace_is_not_written_out():
+    # the trace stores one decision per distinct node: its length is the
+    # tree's node count, 2**38 - 1 here, read off the DAG
+    cert, trace = certify(generate("chain", 40), "v20")
+    assert len(trace) == certificate_size(cert) == 2**38 - 1
+
+
+_DEEP_CERTIFY = r"""
+import sys
+import nonevade as nv
+from nonevade.certify import certificate_size
+
+k = 30
+atoms = [f"a{i}" for i in range(k)]
+coatoms = [f"c{i}" for i in range(k)]
+covers = [("0", a) for a in atoms] + [(a, "m") for a in atoms]
+covers += [("m", c) for c in coatoms] + [(c, "1") for c in coatoms]
+text = "elements: " + " ".join(["0", *atoms, "m", *coatoms, "1"]) + "\n"
+text += "".join(f"cover: {u} {v}\n" for u, v in covers)
+lattice = nv.parse_lattice(text)
+sys.setrecursionlimit(120)
+cert, trace = nv.certify(lattice, "m")
+assert len(trace) == certificate_size(cert), (len(trace), certificate_size(cert))
+print(len(trace))
+"""
+
+
+def test_certify_needs_no_recursion_depth():
+    # the ordinal sum 0 < 30 atoms < m < 30 coatoms < 1 certifies at m far
+    # deeper than a recursion limit of 120 allows; a subprocess keeps that
+    # limit out of this one
+    src = str(pathlib.Path(nonevade.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", _DEEP_CERTIFY], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) > 120
+
+
 def _outcomes(lat, x, cert):
     """Everything the checkers and compilers say about one certificate."""
     complex_ = certificate_complex(lat, x)
@@ -322,7 +366,7 @@ def _subproblems(lat, x, cert):
             stack.append((L.restrict(kept), e, node.child))
         elif isinstance(node, Split):
             if node.mode.endswith("coatom"):
-                dl = L.remove_coatom(node.vertex)
+                dl = L.restrict([u for u in L.elements if u != node.vertex])
                 lk = L.interval(L.bottom, node.vertex)
             else:
                 dl = L.remove_atom(node.vertex)

@@ -8,7 +8,6 @@ from nonevade.errors import (
     ElementOnBoundary,
     NoUniqueBottom,
     NoUniqueTop,
-    NotACoatom,
     NotALattice,
     NotAnAtom,
     NotComparable,
@@ -224,8 +223,6 @@ def test_remove_atom_b2_leaves_chain():
 def test_remove_atom_rejects_non_atoms(d12):
     with pytest.raises(NotAnAtom):
         d12.remove_atom("4")
-    with pytest.raises(NotACoatom):
-        d12.remove_coatom("2")
 
 
 def test_remove_atom_preserves_complements_of_incomparables(d12, b3):
