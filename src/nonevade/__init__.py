@@ -37,7 +37,6 @@ from .complexes import (
     replay_collapses,
 )
 from .lattice import (
-    InteriorSet,
     Lattice,
     Poset,
     dedekind_macneille,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial, wraps
 
-from .complexes import CollapsePair, CollapseSequence, _chain_complex, replay_collapses
+from .complexes import CollapsePair, CollapseSequence, order_complex, replay_collapses
 from .errors import (
     ElementOnBoundary,
     EmptyLink,
@@ -30,15 +30,80 @@ from .errors import (
 MODES = ("case1_atom", "case1_coatom", "case2_atom", "case2_coatom")
 
 
-@dataclass(frozen=True)
-class Leaf:
+class _Node:
+    """Structural ``==`` and ``hash`` for certificate nodes.
+
+    Both walk on an explicit stack and look at each distinct node (for
+    ``==``, each pair of nodes) once, so a deep certificate needs no
+    recursion and a shared one costs time linear in its DAG."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        seen, stack = set(), [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            t = type(a)
+            if a is b:
+                continue
+            if t is not type(b):
+                return False
+            if t is Leaf:
+                if a.vertex != b.vertex:
+                    return False
+            elif t is Prune or t is Split:
+                if (id(a), id(b)) in seen:
+                    continue
+                seen.add((id(a), id(b)))
+                if t is Prune:
+                    if a.removed != b.removed:
+                        return False
+                    stack.append((a.child, b.child))
+                else:
+                    if (a.vertex != b.vertex or a.mode != b.mode
+                            or a.link_element != b.link_element):
+                        return False
+                    stack += [(a.lk, b.lk), (a.dl, b.dl)]
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self):
+        # a node sits under the _FOLD mark until its children are hashed
+        hashes, stack = {}, [self]
+        while stack:
+            node = stack.pop()
+            if node is _FOLD:
+                node = stack.pop()
+                if type(node) is Prune:
+                    key = ("Prune", node.removed, hashes[id(node.child)])
+                else:
+                    key = ("Split", node.vertex, node.mode, node.link_element,
+                            hashes[id(node.dl)], hashes[id(node.lk)])
+                hashes[id(node)] = hash(key)
+            elif id(node) not in hashes:
+                t = type(node)
+                if t is Prune:
+                    stack += [node, _FOLD, node.child]
+                elif t is Split:
+                    stack += [node, _FOLD, node.lk, node.dl]
+                else:
+                    hashes[id(node)] = hash(("Leaf", node.vertex) if t is Leaf else node)
+        return hashes[id(self)]
+
+
+_FOLD = object()
+
+
+@dataclass(frozen=True, eq=False)
+class Leaf(_Node):
     """Single remaining vertex: the recursion's base case."""
 
     vertex: str
 
 
-@dataclass(frozen=True)
-class Prune:
+@dataclass(frozen=True, eq=False)
+class Prune(_Node):
     """Interior elements discarded wholesale; the child covers the same complex."""
 
     removed: tuple
@@ -48,8 +113,8 @@ class Prune:
         object.__setattr__(self, "removed", tuple(self.removed))
 
 
-@dataclass(frozen=True)
-class Split:
+@dataclass(frozen=True, eq=False)
+class Split(_Node):
     """Recursion on the deletion and the link of ``vertex``.
 
     ``mode`` records which elimination case chose the vertex;
@@ -107,24 +172,23 @@ class CertifyTrace:
         return ", ".join(parts)
 
 
-def _certified_mask(lattice, element):
-    """The lattice's poset view and the positions of the certified vertex
-    set: the interior minus the complements of ``element``."""
+def _certified(lattice, element):
+    """The certified vertex set as a view of the lattice's poset: the
+    interior minus the complements of ``element``."""
     if element == lattice.bottom or element == lattice.top:
         raise ElementOnBoundary(f"{element!r} is a bound of the lattice")
     P = lattice.poset
-    return P, lattice._interior_mask() & ~lattice._complement_mask(P._at(element))
+    return P._view(lattice._interior_mask() & ~lattice._complement_mask(P._at(element)))
 
 
 def interior_members(lattice, element):
     """The certified vertex set: interior elements that do not complement ``element``."""
-    P, vmask = _certified_mask(lattice, element)
-    return P._labels(vmask)
+    return _certified(lattice, element).elements
 
 
 def certificate_complex(lattice, element):
     """Order complex of the vertex set certify(lattice, element) works on."""
-    return _chain_complex(*_certified_mask(lattice, element))
+    return order_complex(_certified(lattice, element))
 
 
 def certify(lattice, element):

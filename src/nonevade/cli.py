@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from . import chain_game, oracles, suite as suite_mod
 from .certify import (
@@ -85,20 +85,8 @@ class Caps:
         return caps
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str = None
-    element: str = None
-    seed: int = None
-    caps: Caps = field(default_factory=Caps)
-    output_path: str = None
-    json_output: bool = False
-    options: dict = field(default_factory=dict)
-
-
-def _load_lattice(config):
-    with open(config.input_path, "r", encoding="utf-8") as handle:
+def _load_lattice(args):
+    with open(args.file, "r", encoding="utf-8") as handle:
         return parse_lattice(handle.read())
 
 
@@ -110,8 +98,8 @@ def _load_json(path):
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _emit(config, obj, text_lines):
-    if config.json_output:
+def _emit(args, obj, text_lines):
+    if args.json:
         print(json.dumps(obj, indent=2))
     else:
         for line in text_lines:
@@ -124,8 +112,22 @@ def _write_doc(path, obj):
         handle.write("\n")
 
 
-def cmd_validate(config):
-    lattice = _load_lattice(config)
+def _emit_document(args, key, obj, payload, text_lines):
+    """Write the document ``obj`` to -o if given, then report: with --json
+    the payload, holding the document under ``key`` unless it went to a
+    file; otherwise the text lines, then the document or where it went."""
+    if args.output:
+        _write_doc(args.output, obj)
+        text_lines.append(f"{key} written to {args.output}")
+    elif args.json:
+        payload[key] = obj
+    else:
+        text_lines.append(json.dumps(obj, indent=2))
+    _emit(args, payload, text_lines)
+
+
+def cmd_validate(args):
+    lattice = _load_lattice(args)
     info = {
         "elements": len(lattice),
         "bottom": lattice.bottom,
@@ -134,7 +136,7 @@ def cmd_validate(config):
         "coatoms": list(lattice.coatoms),
         "interior": len(lattice.interior()),
     }
-    _emit(config, info, [
+    _emit(args, info, [
         f"lattice ok: {info['elements']} elements, "
         f"bottom={info['bottom']} top={info['top']}",
         f"atoms: {' '.join(info['atoms']) or '-'}",
@@ -143,53 +145,41 @@ def cmd_validate(config):
     return EXIT_OK
 
 
-def cmd_complements(config):
-    lattice = _load_lattice(config)
-    co = lattice.complements(config.element)
+def cmd_complements(args):
+    lattice = _load_lattice(args)
+    co = lattice.complements(args.element)
     _emit(
-        config,
-        {"x": config.element, "complements": list(co)},
-        [f"Co({config.element}) = {' '.join(co) if co else '(empty)'}"],
+        args,
+        {"x": args.element, "complements": list(co)},
+        [f"Co({args.element}) = {' '.join(co) if co else '(empty)'}"],
     )
     return EXIT_OK
 
 
-def cmd_certify(config):
-    lattice = _load_lattice(config)
-    cert, trace = certify(lattice, config.element)
-    complex_ = certificate_complex(lattice, config.element)
+def cmd_certify(args):
+    lattice = _load_lattice(args)
+    cert, trace = certify(lattice, args.element)
+    complex_ = certificate_complex(lattice, args.element)
     result = verify_certificate(complex_, cert)
-    obj = certificate_to_obj(cert)
     summary = {
         "vertices": len(complex_.vertices),
         "certificate_nodes": certificate_size(cert),
         "trace": trace.summary(),
         "verified": result.ok,
     }
-    if config.output_path:
-        _write_doc(config.output_path, obj)
-    if config.json_output:
-        payload = {"summary": summary}
-        if not config.output_path:
-            payload["certificate"] = obj
-        print(json.dumps(payload, indent=2))
-    else:
-        print(
-            f"certified {config.element}: complex on {summary['vertices']} "
-            f"vertices, {summary['certificate_nodes']} certificate nodes"
-        )
-        print(f"trace: {summary['trace']}")
-        if config.output_path:
-            print(f"certificate written to {config.output_path}")
-        else:
-            print(json.dumps(obj, indent=2))
+    _emit_document(args, "certificate", certificate_to_obj(cert),
+                   {"summary": summary}, [
+        f"certified {args.element}: complex on {summary['vertices']} "
+        f"vertices, {summary['certificate_nodes']} certificate nodes",
+        f"trace: {summary['trace']}",
+    ])
     return EXIT_OK if result.ok else EXIT_SEMANTIC
 
 
-def cmd_verify(config):
-    lattice = _load_lattice(config)
-    cert = certificate_from_obj(_load_json(config.options["cert"]))
-    complex_ = certificate_complex(lattice, config.element)
+def cmd_verify(args):
+    lattice = _load_lattice(args)
+    cert = certificate_from_obj(_load_json(args.cert))
+    complex_ = certificate_complex(lattice, args.element)
     result = verify_certificate(complex_, cert)
     obj = {
         "verified": result.ok,
@@ -197,78 +187,54 @@ def cmd_verify(config):
         "reason": result.reason,
     }
     if result.ok:
-        _emit(config, obj, [
+        _emit(args, obj, [
             f"certificate verifies against the complex on "
             f"{len(complex_.vertices)} vertices"
         ])
         return EXIT_OK
-    _emit(config, obj, [
+    _emit(args, obj, [
         f"verification FAILED at {'/'.join(result.path) or 'root'}: {result.reason}"
     ])
     return EXIT_SEMANTIC
 
 
-def cmd_collapse(config):
-    lattice = _load_lattice(config)
-    cert, _ = certify(lattice, config.element)
-    complex_ = certificate_complex(lattice, config.element)
+def cmd_collapse(args):
+    lattice = _load_lattice(args)
+    cert, _ = certify(lattice, args.element)
+    complex_ = certificate_complex(lattice, args.element)
     seq = extract_collapses(cert, complex_)  # replay-checked internally
-    obj = seq.to_obj()
-    if config.output_path:
-        _write_doc(config.output_path, obj)
-    if config.json_output:
-        payload = {"pairs": len(seq.pairs), "final": seq.final_vertex}
-        if not config.output_path:
-            payload["sequence"] = obj
-        print(json.dumps(payload, indent=2))
-    else:
-        print(
-            f"collapse sequence: {len(seq.pairs)} free pairs, "
-            f"final vertex {seq.final_vertex} (replay checked)"
-        )
-        if config.output_path:
-            print(f"sequence written to {config.output_path}")
-        else:
-            print(json.dumps(obj, indent=2))
+    _emit_document(args, "sequence", seq.to_obj(),
+                   {"pairs": len(seq.pairs), "final": seq.final_vertex}, [
+        f"collapse sequence: {len(seq.pairs)} free pairs, "
+        f"final vertex {seq.final_vertex} (replay checked)",
+    ])
     return EXIT_OK
 
 
-def cmd_strategy(config):
-    lattice = _load_lattice(config)
-    cert, _ = certify(lattice, config.element)
-    ground = interior_members(lattice, config.element)
+def cmd_strategy(args):
+    lattice = _load_lattice(args)
+    cert, _ = certify(lattice, args.element)
+    ground = interior_members(lattice, args.element)
     strategy = compile_strategy(cert, ground)
-    obj = strategy_to_obj(strategy)
-    if config.output_path:
-        _write_doc(config.output_path, obj)
-    if config.json_output:
-        payload = {"ground": list(ground), "max_queries": strategy_depth(strategy)}
-        if not config.output_path:
-            payload["strategy"] = obj
-        print(json.dumps(payload, indent=2))
-    else:
-        print(
-            f"strategy over {len(ground)} vertices, "
-            f"worst case {strategy_depth(strategy)} queries "
-            f"(budget {max(len(ground) - 1, 0)})"
-        )
-        if config.output_path:
-            print(f"strategy written to {config.output_path}")
-        else:
-            print(json.dumps(obj, indent=2))
+    depth = strategy_depth(strategy)
+    _emit_document(args, "strategy", strategy_to_obj(strategy),
+                   {"ground": list(ground), "max_queries": depth}, [
+        f"strategy over {len(ground)} vertices, worst case {depth} queries "
+        f"(budget {max(len(ground) - 1, 0)})",
+    ])
     return EXIT_OK
 
 
-def cmd_game(config):
-    lattice = _load_lattice(config)
-    cert, _ = certify(lattice, config.element)
-    ground = interior_members(lattice, config.element)
+def cmd_game(args):
+    lattice = _load_lattice(args)
+    cert, _ = certify(lattice, args.element)
+    ground = interior_members(lattice, args.element)
     strategy = compile_strategy(cert, ground)
-    if config.options.get("exhaustive"):
+    if args.exhaustive:
         report = exhaustive_check(strategy, ground, lattice.leq,
-                                  cap=config.caps.game)
+                                  cap=args.caps.game)
         obj = report.to_obj()
-        _emit(config, obj, [
+        _emit(args, obj, [
             f"ground {report.ground_size}, subsets {report.subsets_tested}, "
             f"mismatches {report.mismatches}, max queries {report.max_queries}",
             "histogram: " + " ".join(
@@ -276,7 +242,7 @@ def cmd_game(config):
             ),
         ])
         return EXIT_OK if report.mismatches == 0 else EXIT_SEMANTIC
-    raw = config.options.get("hidden") or ""
+    raw = args.hidden or ""
     hidden = [v for v in raw.split(",") if v]
     unknown = [v for v in hidden if v not in ground]
     if unknown:
@@ -285,12 +251,12 @@ def cmd_game(config):
     obj = transcript.to_obj()
     lines = [f"ask {v}? {'yes' if a else 'no'}" for v, a in transcript.queries]
     lines.append(f"verdict: {'chain' if verdict else 'not a chain'}")
-    _emit(config, obj, lines)
+    _emit(args, obj, lines)
     return EXIT_OK
 
 
-def cmd_mobius(config):
-    lattice = _load_lattice(config)
+def cmd_mobius(args):
+    lattice = _load_lattice(args)
     mu = mobius(lattice)
     interior = lattice.interior()
     if interior:
@@ -303,7 +269,7 @@ def cmd_mobius(config):
         "reduced_euler": euler,
         "noncomplemented_element": witness,
     }
-    _emit(config, obj, [
+    _emit(args, obj, [
         f"mobius = {mu}",
         f"reduced euler characteristic = {euler}",
         f"noncomplemented element: {witness if witness else '(none: complemented)'}",
@@ -311,58 +277,50 @@ def cmd_mobius(config):
     return EXIT_OK
 
 
-def cmd_oracle(config):
-    if config.options.get("complex"):
-        complex_ = Complex.from_obj(_load_json(config.input_path))
+def cmd_oracle(args):
+    if args.complex:
+        complex_ = Complex.from_obj(_load_json(args.file))
     else:
-        if config.element is None:
+        if args.element is None:
             raise ParseError("oracle needs -x unless --complex is given")
-        lattice = _load_lattice(config)
-        complex_ = certificate_complex(lattice, config.element)
-    check = config.options["check"]
-    if check == "nonevasive":
-        verdict = brute_nonevasive(complex_, cap=config.caps.nonevasive)
-        _emit(config, {"nonevasive": verdict},
+        lattice = _load_lattice(args)
+        complex_ = certificate_complex(lattice, args.element)
+    if args.check == "nonevasive":
+        verdict = brute_nonevasive(complex_, cap=args.caps.nonevasive)
+        _emit(args, {"nonevasive": verdict},
               [f"nonevasive: {'yes' if verdict else 'no'}"])
         return EXIT_OK if verdict else EXIT_SEMANTIC
-    seq = brute_collapsible(complex_, face_cap=config.caps.collapse_faces)
+    seq = brute_collapsible(complex_, face_cap=args.caps.collapse_faces)
     if seq is None:
-        _emit(config, {"collapsible": False}, ["collapsible: no"])
+        _emit(args, {"collapsible": False}, ["collapsible: no"])
         return EXIT_SEMANTIC
     obj = {"collapsible": True, "pairs": len(seq.pairs), "final": seq.final_vertex}
-    _emit(config, obj, [
+    _emit(args, obj, [
         f"collapsible: yes ({len(seq.pairs)} pairs, final {seq.final_vertex})"
     ])
     return EXIT_OK
 
 
-def cmd_gen(config):
-    opts = config.options
-    lattice = generate(
-        opts["family"],
-        opts.get("n"),
-        p=opts.get("p"),
-        seed=config.seed,
-        left=opts.get("left"),
-        right=opts.get("right"),
-    )
-    text = format_lattice(lattice, as_json=config.json_output)
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as handle:
+def cmd_gen(args):
+    lattice = generate(args.family, args.n, p=args.p, seed=args.seed,
+                       left=args.left, right=args.right)
+    text = format_lattice(lattice, as_json=args.json)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
-        print(f"wrote {len(lattice)} elements to {config.output_path}")
+        print(f"wrote {len(lattice)} elements to {args.output}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
-def cmd_suite(config):
+def cmd_suite(args):
     report = suite_mod.run_suite(
-        random_count=config.options.get("random_count", 500),
-        nonevasive_cap=config.caps.nonevasive,
-        game_cap=config.caps.game,
+        random_count=args.random_count,
+        nonevasive_cap=args.caps.nonevasive,
+        game_cap=args.caps.game,
     )
-    if config.json_output:
+    if args.json:
         print(json.dumps(report.to_obj(), indent=2))
     else:
         print(report.format_text())
@@ -451,29 +409,6 @@ def build_parser():
     return parser
 
 
-def _config_from_args(args):
-    caps = Caps.resolve({
-        "nonevasive": getattr(args, "cap_nonevasive", None),
-        "game": getattr(args, "cap_game", None),
-        "collapse_faces": getattr(args, "cap_collapse_faces", None),
-    })
-    options = {}
-    for key in ("cert", "exhaustive", "hidden", "complex", "check",
-                "family", "n", "p", "left", "right", "random_count"):
-        if hasattr(args, key):
-            options[key] = getattr(args, key)
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "file", None),
-        element=getattr(args, "element", None),
-        seed=getattr(args, "seed", None),
-        caps=caps,
-        output_path=getattr(args, "output", None),
-        json_output=args.json,
-        options=options,
-    )
-
-
 def _report_error(exc, json_output):
     payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     if json_output:
@@ -485,15 +420,18 @@ def _report_error(exc, json_output):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    json_output = getattr(args, "json", False)
     try:
-        config = _config_from_args(args)
-        return _HANDLERS[args.command](config)
+        args.caps = Caps.resolve({
+            "nonevasive": getattr(args, "cap_nonevasive", None),
+            "game": getattr(args, "cap_game", None),
+            "collapse_faces": getattr(args, "cap_collapse_faces", None),
+        })
+        return _HANDLERS[args.command](args)
     except _USAGE_ERRORS as exc:
-        _report_error(exc, json_output)
+        _report_error(exc, args.json)
         return EXIT_USAGE
     except NonevadeError as exc:
-        _report_error(exc, json_output)
+        _report_error(exc, args.json)
         return EXIT_SEMANTIC
 
 

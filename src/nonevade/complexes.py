@@ -35,7 +35,7 @@ from .errors import (
     ReplayMismatch,
     UnknownVertex,
 )
-from .lattice import InteriorSet, _bits
+from .lattice import Poset, _bits
 
 
 class Complex:
@@ -271,31 +271,18 @@ class CollapseSequence:
         return cls(pairs, obj["final"])
 
 
-def order_complex(interior):
-    """The complex whose faces are the chains of an interior poset.
-
-    Facets are the maximal chains of the induced order; the vertex ground
-    is the lattice's root.
-    """
-    if not isinstance(interior, InteriorSet):
-        raise TypeError("order_complex expects an InteriorSet")
-    if not interior.members:
-        raise EmptyInterior("the interior set is empty")
-    P = interior.lattice.poset
-    vmask = 0
-    for m in interior.members:
-        vmask |= 1 << P._pos[m]
-    return _chain_complex(P, vmask)
-
-
-def _chain_complex(P, vmask):
-    """The order complex of the members of poset view ``P`` at the positions
-    in the nonzero ``vmask``, on the ground of P's root.
+def order_complex(poset):
+    """The complex whose faces are the chains of a poset view, on the ground
+    of its root.
 
     Facets are the maximal chains, enumerated on an explicit stack by
     walking cover steps of the induced order from its minimal members.
     """
-    up, down, rev = P._up, P._down, P._rev
+    if not isinstance(poset, Poset):
+        raise TypeError("order_complex expects a Poset")
+    vmask, up, down, rev = poset._mask, poset._up, poset._down, poset._rev
+    if not vmask:
+        raise EmptyInterior("the interior set is empty")
     # bits follow a linear extension of the root (reversed on a dual), so
     # the first bit of what is left of a strict up-set is a cover, and
     # dropping its up-set leaves only elements not above any cover found
@@ -317,7 +304,7 @@ def _chain_complex(P, vmask):
         for q in _bits(covers[p]):
             stack.append((q, chain | 1 << q))
     c = Complex.__new__(Complex)
-    c._init(P._label, P._pos, P._rank, vmask, frozenset(facets))
+    c._init(poset._label, poset._pos, poset._rank, vmask, frozenset(facets))
     return c
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import re
 import string
-from dataclasses import dataclass
 from random import Random
 
 from .errors import (
@@ -457,32 +456,16 @@ class Lattice:
         return tuple(comps)
 
     def interior_set(self, members=None):
+        """The interior, or its subset ``members``, as a view of the poset."""
+        P = self.poset
         if members is None:
-            members = self.interior()
-        return InteriorSet(self, tuple(members))
-
-
-@dataclass(frozen=True)
-class InteriorSet:
-    """A subset of a lattice's interior, carrying the induced order.
-
-    Members are normalised to canonical lattice order; bottom and top are
-    rejected.
-    """
-
-    lattice: Lattice
-    members: tuple
-
-    def __post_init__(self):
-        idx = self.lattice.poset.index
-        uniq = sorted(set(self.members), key=idx)
-        for m in uniq:
-            if m == self.lattice.bottom or m == self.lattice.top:
-                raise ElementOnBoundary(f"{m!r} is a bound of the lattice")
-        object.__setattr__(self, "members", tuple(uniq))
-
-    def __len__(self):
-        return len(self.members)
+            return P._view(self._interior_mask())
+        view = P.restrict(members)
+        bounds = view._mask & ~self._interior_mask()
+        if bounds:
+            label = P._labels(bounds)[0]
+            raise ElementOnBoundary(f"{label!r} is a bound of the lattice")
+        return view
 
 
 # --- file format -----------------------------------------------------------------

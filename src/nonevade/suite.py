@@ -26,6 +26,7 @@ from .corpus import full_corpus, random_complexes
 from .errors import NonevadeError
 from .lattice import generate
 from .oracles import (
+    NONEVASIVE_CAP,
     brute_certificate,
     brute_nonevasive,
     find_noncomplemented_element,
@@ -126,7 +127,8 @@ def criterion_certification(run):
     )
 
 
-def criterion_oracle_equivalence(run, nonevasive_cap=12, complex_count=50):
+def criterion_oracle_equivalence(run, nonevasive_cap=NONEVASIVE_CAP,
+                                 complex_count=50):
     """2: the brute oracle accepts every certified complex, and agrees
     with certificate search on arbitrary complexes."""
     t0 = time.perf_counter()
@@ -191,7 +193,7 @@ def criterion_collapse_extraction(run):
     )
 
 
-def criterion_query_bound(run, game_cap=16):
+def criterion_query_bound(run, game_cap=chain_game.GAME_CAP):
     """4: the strategy decides every hidden subset within |ground|-1 queries."""
     t0 = time.perf_counter()
     failures = []
@@ -303,7 +305,8 @@ def criterion_spot_checks():
     )
 
 
-def run_suite(random_count=500, nonevasive_cap=12, game_cap=16):
+def run_suite(random_count=500, nonevasive_cap=NONEVASIVE_CAP,
+              game_cap=chain_game.GAME_CAP):
     run = CorpusRun(random_count=random_count)
     outcomes = [
         criterion_certification(run),

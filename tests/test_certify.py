@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -430,12 +431,49 @@ def test_deep_prune_chain_round_trips_in_process():
         cert = Prune((f"p{level}",), cert)
     obj = certificate_to_obj(cert)
     back = certificate_from_obj(obj)
+    assert back == cert and hash(back) == hash(cert)
     for level in reversed(range(depth)):
         assert obj["type"] == "prune" and obj["removed"] == [f"p{level}"]
-        assert isinstance(back, Prune) and back.removed == (f"p{level}",)
-        obj, back = obj["child"], back.child
+        obj = obj["child"]
     assert obj == {"type": "leaf", "vertex": "a"}
-    assert back == Leaf("a")
+
+
+def test_deep_prune_chains_compare_and_hash_without_recursion():
+    depth = 1500
+    one, two = Leaf("a"), Leaf("a")
+    for level in range(depth):
+        one, two = Prune((f"p{level}",), one), Prune((f"p{level}",), two)
+    assert one == two and not one != two
+    assert hash(one) == hash(two)
+    assert one != Prune(("q",), two) and one != two.child
+    # the innermost leaf differs
+    other = Leaf("b")
+    for level in range(depth):
+        other = Prune((f"p{level}",), other)
+    assert one != other
+
+
+def test_node_equality_is_structural():
+    split = Split("a", "case1_atom", "b", Leaf("c"), Leaf("d"))
+    same = Split("a", "case1_atom", "b", Leaf("c"), Leaf("d"))
+    assert split == same and hash(split) == hash(same)
+    assert len({split, same}) == 1
+    assert split != Split("a", "case1_atom", "b", Leaf("c"), Leaf("e"))
+    assert split != Split("a", "case2_atom", "b", Leaf("c"), Leaf("d"))
+    assert Leaf("a") != Prune((), Leaf("a")) and Leaf("a") != "a"
+
+
+def test_long_chain_certificates_compare_in_linear_time():
+    # two separately certified chain-30 certificates are DAGs of the same
+    # shape but share no node; the tree they stand for has 2**28 - 1 nodes
+    chain = generate("chain", 30)
+    x = chain.interior()[14]
+    one, _ = certify(chain, x)
+    two, _ = certify(chain, x)
+    assert one is not two
+    start = time.perf_counter()
+    assert one == two and hash(one) == hash(two)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_deep_prune_chain_verifies_and_extracts():

@@ -187,6 +187,44 @@ def test_oracle_on_complex_document(capsys, tmp_path):
     assert code == 1
 
 
+def test_oracle_cap_flags(capsys, d12_file):
+    code, _, err = run(capsys, "oracle", d12_file, "-x", "2",
+                       "--check", "collapsible", "--cap-faces", "1")
+    assert code == 1 and "CapExceeded" in err
+    code, _, err = run(capsys, "oracle", d12_file, "-x", "2",
+                       "--check", "nonevasive", "--cap-nonevasive", "1")
+    assert code == 1 and "CapExceeded" in err
+
+
+def test_oracle_on_a_lattice_needs_an_element(capsys, d12_file):
+    code, out, err = run(capsys, "oracle", d12_file, "--check", "nonevasive")
+    assert code == 2 and out == ""
+    assert "needs -x" in err
+
+
+@pytest.mark.parametrize("command, key, head", [
+    ("certify", "certificate", ["summary"]),
+    ("collapse", "sequence", ["pairs", "final"]),
+    ("strategy", "strategy", ["ground", "max_queries"]),
+])
+def test_document_commands_share_one_output_path(capsys, d12_file, tmp_path,
+                                                 command, key, head):
+    path = tmp_path / f"{key}.json"
+    code, out, _ = run(capsys, command, d12_file, "-x", "2", "-o", str(path))
+    assert code == 0 and out.endswith(f"{key} written to {path}\n")
+    document = path.read_text()
+    code, out, _ = run(capsys, command, d12_file, "-x", "2")
+    assert code == 0 and out.endswith(document)
+    code, out, _ = run(capsys, command, d12_file, "-x", "2", "--json")
+    payload = json.loads(out)
+    assert code == 0 and list(payload) == head + [key]
+    assert payload[key] == json.loads(document)
+    code, out, _ = run(capsys, command, d12_file, "-x", "2", "--json",
+                       "-o", str(path))
+    assert code == 0 and list(json.loads(out)) == head
+    assert path.read_text() == document
+
+
 def test_gen_round_trip(capsys, tmp_path):
     out_path = str(tmp_path / "b3.lat")
     code, _, _ = run(capsys, "gen", "boolean", "--n", "3", "-o", out_path)

@@ -104,6 +104,17 @@ def test_order_complex_rejects_empty_interior():
         order_complex(chain.interior_set())
 
 
+def test_order_complex_takes_poset_views_only():
+    d12 = generate("divisor", 12)
+    with pytest.raises(TypeError):
+        order_complex(d12.interior())
+    # a dual view walks its chains in the reversed order
+    dual = order_complex(d12.dual().interior_set())
+    assert dual == order_complex(d12.interior_set())
+    c = order_complex(d12.interior_set(["2", "3", "6"]))
+    assert c.facets == frozenset({frozenset({"2", "6"}), frozenset({"3", "6"})})
+
+
 def test_order_complex_of_a_deep_chain_is_one_simplex():
     # 1,200 cover steps: the maximal chains are walked on an explicit stack
     chain = generate("chain", 1202)

@@ -18,7 +18,6 @@ from nonevade.errors import (
 )
 from nonevade.corpus import BOWTIE_TEXT, M3_TEXT, N5_TEXT, named_corpus
 from nonevade.lattice import (
-    InteriorSet,
     Lattice,
     Poset,
     check_label,
@@ -569,12 +568,13 @@ def test_crapo_complementation_random_and_views(seed):
 
 
 def test_interior_set_normalises_and_validates(d12):
-    interior = d12.interior_set(["6", "2"])
-    assert interior.members == ("2", "6")
-    with pytest.raises(ElementOnBoundary):
-        InteriorSet(d12, ("1",))
+    interior = d12.interior_set(["6", "2", "6"])
+    assert isinstance(interior, Poset) and interior.elements == ("2", "6")
+    assert d12.interior_set().elements == ("2", "3", "4", "6")
+    with pytest.raises(ElementOnBoundary, match="'1' is a bound"):
+        d12.interior_set(("2", "1"))
     with pytest.raises(UnknownElement):
-        InteriorSet(d12, ("9",))
+        d12.interior_set(("1", "9"))
 
 
 def test_product_standalone(d12):
