@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial, wraps
+from operator import attrgetter
 
 from .complexes import CollapsePair, CollapseSequence, order_complex, replay_collapses
 from .errors import (
@@ -31,11 +32,15 @@ MODES = ("case1_atom", "case1_coatom", "case2_atom", "case2_coatom")
 
 
 class _Node:
-    """Structural ``==`` and ``hash`` for certificate nodes.
+    """Structural ``==`` and ``hash`` for the nodes of certificates and of
+    query strategies.  A node type names its own fields in ``_own`` (an
+    attrgetter) and its child fields in ``_kids``.
 
     Both walk on an explicit stack and look at each distinct node (for
-    ``==``, each pair of nodes) once, so a deep certificate needs no
-    recursion and a shared one costs time linear in its DAG."""
+    ``==``, each pair of nodes) once, so a deep tree needs no recursion
+    and a shared one costs time linear in its DAG."""
+
+    _kids = ()
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -43,29 +48,21 @@ class _Node:
         seen, stack = set(), [(self, other)]
         while stack:
             a, b = stack.pop()
-            t = type(a)
             if a is b:
                 continue
+            t = type(a)
             if t is not type(b):
                 return False
-            if t is Leaf:
-                if a.vertex != b.vertex:
+            if not issubclass(t, _Node):
+                if a != b:
                     return False
-            elif t is Prune or t is Split:
-                if (id(a), id(b)) in seen:
-                    continue
-                seen.add((id(a), id(b)))
-                if t is Prune:
-                    if a.removed != b.removed:
-                        return False
-                    stack.append((a.child, b.child))
-                else:
-                    if (a.vertex != b.vertex or a.mode != b.mode
-                            or a.link_element != b.link_element):
-                        return False
-                    stack += [(a.lk, b.lk), (a.dl, b.dl)]
-            elif a != b:
+                continue
+            if t._own(a) != t._own(b):
                 return False
+            if t._kids and (id(a), id(b)) not in seen:
+                seen.add((id(a), id(b)))
+                for k in t._kids:
+                    stack.append((getattr(a, k), getattr(b, k)))
         return True
 
     def __hash__(self):
@@ -75,20 +72,17 @@ class _Node:
             node = stack.pop()
             if node is _FOLD:
                 node = stack.pop()
-                if type(node) is Prune:
-                    key = ("Prune", node.removed, hashes[id(node.child)])
-                else:
-                    key = ("Split", node.vertex, node.mode, node.link_element,
-                            hashes[id(node.dl)], hashes[id(node.lk)])
-                hashes[id(node)] = hash(key)
+                t = type(node)
+                hashes[id(node)] = hash((t, t._own(node), *[
+                    hashes[id(getattr(node, k))] for k in t._kids]))
             elif id(node) not in hashes:
                 t = type(node)
-                if t is Prune:
-                    stack += [node, _FOLD, node.child]
-                elif t is Split:
-                    stack += [node, _FOLD, node.lk, node.dl]
+                if not issubclass(t, _Node):
+                    hashes[id(node)] = hash(node)
+                elif t._kids:
+                    stack += [node, _FOLD, *[getattr(node, k) for k in t._kids]]
                 else:
-                    hashes[id(node)] = hash(("Leaf", node.vertex) if t is Leaf else node)
+                    hashes[id(node)] = hash((t, t._own(node)))
         return hashes[id(self)]
 
 
@@ -101,6 +95,8 @@ class Leaf(_Node):
 
     vertex: str
 
+    _own = attrgetter("vertex")
+
 
 @dataclass(frozen=True, eq=False)
 class Prune(_Node):
@@ -108,6 +104,9 @@ class Prune(_Node):
 
     removed: tuple
     child: object
+
+    _own = attrgetter("removed")
+    _kids = ("child",)
 
     def __post_init__(self):
         object.__setattr__(self, "removed", tuple(self.removed))
@@ -127,6 +126,9 @@ class Split(_Node):
     link_element: str
     dl: object
     lk: object
+
+    _own = attrgetter("vertex", "mode", "link_element")
+    _kids = ("dl", "lk")
 
     def __post_init__(self):
         if self.mode not in MODES:

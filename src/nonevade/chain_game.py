@@ -9,23 +9,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 
-from .certify import Leaf, Prune, _iterative, certificate_ground
+from .certify import Leaf, Prune, _iterative, _Node, certificate_ground
 from .errors import CapExceeded, GroundMismatch, ParseError
 
 GAME_CAP = 16
 
 
-@dataclass(frozen=True)
-class Answer:
+@dataclass(frozen=True, eq=False)
+class Answer(_Node):
     is_chain: bool
 
+    _own = attrgetter("is_chain")
 
-@dataclass(frozen=True)
-class Query:
+
+@dataclass(frozen=True, eq=False)
+class Query(_Node):
     vertex: str
     yes: object
     no: object
+
+    _own = attrgetter("vertex")
+    _kids = ("yes", "no")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from .certify import Leaf, Split, _iterative
 from .errors import CapExceeded, EmptyLink
 from .complexes import CollapsePair, CollapseSequence
+from .lattice import _bits
 
 NONEVASIVE_CAP = 12
 COLLAPSE_FACE_CAP = 1 << 14
@@ -37,7 +38,8 @@ def brute_certificate(complex_, cap=NONEVASIVE_CAP, memo=None):
     The definitional recursion behind brute_nonevasive, returning a
     witness tree (or None).  The Split nodes carry a synthetic
     mode/link-element, since no lattice is involved; verification ignores
-    both.
+    both.  ``memo`` is keyed on memo_key, so it can be shared across
+    complexes on different vertex grounds.
     """
     if len(complex_.vertices) > cap:
         raise CapExceeded(
@@ -45,14 +47,20 @@ def brute_certificate(complex_, cap=NONEVASIVE_CAP, memo=None):
         )
     if memo is None:
         memo = {}
-    return _brute_cert(complex_, memo)
+    # every link and deletion shares the ground of complex_, so within one
+    # call a subcomplex is known by its masks and memo_key is built once
+    return _brute_cert(complex_, memo, {})
 
 
-def _brute_cert(c, memo):
+def _brute_cert(c, memo, seen):
+    masks = (c._vmask, c._facets)
+    if masks in seen:
+        return seen[masks]
     if len(c.vertices) == 1:
         return Leaf(c.vertices[0])
     key = memo_key(c)
     if key in memo:
+        seen[masks] = memo[key]
         return memo[key]
     found = None
     for v in c.vertices:
@@ -60,15 +68,15 @@ def _brute_cert(c, memo):
             lk = c.link(v)
         except EmptyLink:
             continue
-        dl_cert = _brute_cert(c.deletion(v), memo)
+        dl_cert = _brute_cert(c.deletion(v), memo, seen)
         if dl_cert is None:
             continue
-        lk_cert = _brute_cert(lk, memo)
+        lk_cert = _brute_cert(lk, memo, seen)
         if lk_cert is None:
             continue
         found = Split(v, "case2_atom", v, dl_cert, lk_cert)
         break
-    memo[key] = found
+    memo[key] = seen[masks] = found
     return found
 
 
@@ -76,59 +84,84 @@ def brute_collapsible(complex_, face_cap=COLLAPSE_FACE_CAP):
     """Backtracking search for a full collapse; returns a witness or None.
 
     Greedy collapsing is not safe in general, so failed states are
-    memoised and the search backtracks over every free pair in canonical
-    order.  The witness feeds replay_collapses directly.
+    memoised and the search backtracks over every free pair.  Free faces
+    are tried smallest first, and faces of one size by their sorted label
+    lists; the witness is the first full collapse in that order and feeds
+    replay_collapses directly.  More than ``face_cap`` faces raise
+    CapExceeded before the face list is built.
     """
-    faces = complex_.all_faces()
-    if len(faces) > face_cap:
-        raise CapExceeded(f"{len(faces)} faces exceeds the cap of {face_cap}")
-    if len(faces) % 2 == 0:
+    _refuse_over_cap(complex_, face_cap)
+    label = complex_._label
+    # face i is order[i], with sorted labels names[i]; a search state is
+    # the int of the faces left
+    faces = sorted(
+        (f.bit_count(), sorted(map(label.__getitem__, _bits(f))), f)
+        for f in complex_._face_mask_set()
+    )
+    names = [n for _, n, _ in faces]
+    order = [f for _, _, f in faces]
+    if len(order) % 2 == 0:
         return None  # each collapse removes two faces, one must remain
-    vertices = complex_.vertices
+    index = {f: i for i, f in enumerate(order)}
+    # cofaces[i]: the bits of the faces that add one vertex to face i
+    cofaces = [0] * len(order)
+    for i, f in enumerate(order):
+        if f & (f - 1):
+            for p in _bits(f):
+                cofaces[index[f ^ 1 << p]] |= 1 << i
     dead_ends = set()
 
     @_iterative
-    def search(current):
-        if len(current) == 1:
-            (only,) = current
-            return [] if len(only) == 1 else None
-        state = frozenset(current)
+    def search(state):
+        if not state & (state - 1):
+            return [] if order[state.bit_length() - 1].bit_count() == 1 else None
         if state in dead_ends:
             return None
-        order = sorted(current, key=lambda f: (len(f), sorted(f)))
-        for free in order:
-            cofaces = [
-                free | {u}
-                for u in vertices
-                if u not in free and free | {u} in current
-            ]
-            if len(cofaces) != 1:
+        rest = state
+        while rest:
+            free = rest & -rest
+            rest ^= free
+            up = cofaces[free.bit_length() - 1] & state
+            if not up or up & (up - 1):
                 continue
-            coface = cofaces[0]
-            current.remove(free)
-            current.remove(coface)
-            tail = yield current
-            current.add(free)
-            current.add(coface)
+            tail = yield state ^ free ^ up
             if tail is not None:
-                return [(free, coface)] + tail
+                return [(free, up)] + tail
         dead_ends.add(state)
         return None
 
     # the search keeps its own stack: each collapse step is one level
-    result = search(set(faces))
+    everything = (1 << len(order)) - 1
+    result = search(everything)
     if result is None:
         return None
-    # the final vertex is whatever single face survives the replay
-    remaining = set(faces)
-    for free, coface in result:
-        remaining.remove(free)
-        remaining.remove(coface)
-    (last,) = remaining
-    (final_vertex,) = last
+
+    def labels(bit):
+        return frozenset(names[bit.bit_length() - 1])
+
+    # the final vertex is whatever single face survives the collapses
+    last = everything
+    for free, up in result:
+        last ^= free | up
+    (final_vertex,) = labels(last)
     return CollapseSequence(
-        tuple(CollapsePair(a, b) for a, b in result), final_vertex
+        tuple(CollapsePair(labels(a), labels(b)) for a, b in result), final_vertex
     )
+
+
+def _refuse_over_cap(complex_, face_cap):
+    """Raise CapExceeded as soon as more than ``face_cap`` faces turn up:
+    one facet of k vertices alone has 2^k - 1 faces to list."""
+    seen = set()
+    for f in complex_._facets:
+        s = f
+        while s:
+            seen.add(s)
+            if len(seen) > face_cap:
+                raise CapExceeded(
+                    f"the complex has more than the cap of {face_cap} faces"
+                )
+            s = (s - 1) & f
 
 
 def mobius(lattice):

@@ -169,23 +169,25 @@ def test_strategy_round_trip(d12):
 
 
 def test_deep_strategy_round_trips_and_measures():
-    # 1,500 levels is past the default recursion limit; the serialisers and
-    # the depth count keep their own stack
+    # 1,500 levels is past the default recursion limit; the serialisers,
+    # the depth count, == and hash keep their own stack
     depth = 1500
     strategy = Answer(True)
     for level in range(depth):
         strategy = Query(f"v{level}", Answer(False), strategy)
-    obj = strategy_to_obj(strategy)
-    back = strategy_from_obj(obj)
+    back = strategy_from_obj(strategy_to_obj(strategy))
     assert strategy_depth(strategy) == strategy_depth(back) == depth
-    # compared level by level: == on the dataclasses still recurses
-    for level in reversed(range(depth)):
-        assert obj["vertex"] == back.vertex == f"v{level}"
-        assert obj["yes"] == {"type": "answer", "chain": False}
-        assert back.yes == Answer(False)
-        obj, back = obj["no"], back.no
-    assert obj == {"type": "answer", "chain": True}
-    assert back == Answer(True)
+    assert back == strategy and hash(back) == hash(strategy)
+    assert back != Query("v1499", Answer(False), Answer(True))
+
+
+def test_strategy_equality_is_structural():
+    query = Query("a", Answer(True), Answer(False))
+    assert query == Query("a", Answer(True), Answer(False))
+    assert hash(query) == hash(Query("a", Answer(True), Answer(False)))
+    assert query != Query("a", Answer(False), Answer(True))
+    assert query != Query("b", Answer(True), Answer(False))
+    assert Answer(True) != Answer(False) and query != Answer(True)
 
 
 # --- the query budget as a property ----------------------------------------------------

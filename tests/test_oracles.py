@@ -1,12 +1,19 @@
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonevade.certify import certificate_complex, verify_certificate
+from nonevade.certify import (
+    Leaf,
+    Split,
+    _iterative,
+    certificate_complex,
+    verify_certificate,
+)
 from nonevade.complexes import Complex, order_complex, replay_collapses
 from nonevade.corpus import named_corpus, random_complexes
-from nonevade.errors import CapExceeded
+from nonevade.errors import CapExceeded, EmptyLink
 from nonevade.lattice import generate, parse_lattice
 from nonevade.corpus import M3_TEXT, N5_TEXT
 from nonevade.oracles import (
@@ -51,6 +58,30 @@ def test_nonevasive_cap():
                   [{f"v{i}"} for i in range(13)])
     with pytest.raises(CapExceeded):
         brute_nonevasive(big)
+
+
+def test_shared_memo_is_keyed_on_labels_not_masks():
+    # equal masks, different labels: no entry is shared, and each
+    # certificate names its own complex's vertices
+    path = Complex("abc", [{"a", "b"}, {"b", "c"}])
+    renamed = Complex("xyz", [{"x", "y"}, {"y", "z"}])
+    memo = {}
+    for complex_, size in ((path, 2), (renamed, 4)):
+        cert = brute_certificate(complex_, memo=memo)
+        assert verify_certificate(complex_, cert).ok
+        assert len(memo) == size
+    # equal complexes on different grounds share every entry
+    reordered = Complex("cba", [{"a", "b"}, {"b", "c"}])
+    cert = brute_certificate(reordered, memo=memo)
+    assert verify_certificate(reordered, cert).ok
+    assert len(memo) == 4
+    # a hollow triangle adds itself, three pairs of points and two edges:
+    # its third edge is the path's deletion of a (or of x)
+    for labels, size in (("abc", 10), ("xyz", 16), ("bca", 16)):
+        a, b, c = labels
+        hollow = Complex(labels, [{a, b}, {a, c}, {b, c}])
+        assert not brute_nonevasive(hollow, memo=memo)
+        assert len(memo) == size
 
 
 def test_memo_key_equal_complexes():
@@ -104,6 +135,79 @@ def test_collapse_cap():
     c = order_complex(chain.interior_set())
     with pytest.raises(CapExceeded):
         brute_collapsible(c, face_cap=10)
+
+
+def test_collapse_cap_refuses_before_listing_faces():
+    # the interior of chain-24 is one facet with 2^22 - 1 faces
+    c = order_complex(generate("chain", 24).interior_set())
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="more than"):
+        brute_collapsible(c, face_cap=128)
+    assert time.perf_counter() - start < 1.0
+
+
+def reference_collapsible(complex_):
+    """The label-set collapse search that brute_collapsible replaced, with
+    the number of collapses it took back."""
+    faces = complex_.all_faces()
+    if len(faces) % 2 == 0:
+        return None, 0
+    vertices = complex_.vertices
+    dead_ends = set()
+    undone = 0
+
+    @_iterative
+    def search(current):
+        if len(current) == 1:
+            (only,) = current
+            return [] if len(only) == 1 else None
+        state = frozenset(current)
+        if state in dead_ends:
+            return None
+        for free in sorted(current, key=lambda f: (len(f), sorted(f))):
+            cofaces = [free | {u} for u in vertices
+                       if u not in free and free | {u} in current]
+            if len(cofaces) != 1:
+                continue
+            current -= {free, cofaces[0]}
+            tail = yield current
+            current |= {free, cofaces[0]}
+            if tail is not None:
+                return [(free, cofaces[0])] + tail
+            nonlocal undone
+            undone += 1
+        dead_ends.add(state)
+        return None
+
+    pairs = search(set(faces))
+    if pairs is None:
+        return None, undone
+    (last,) = faces - {f for pair in pairs for f in pair}
+    (final,) = last
+    return (pairs, final), undone
+
+
+def test_collapse_search_matches_the_label_set_reference():
+    complexes = [c for _, c in random_complexes(count=300)]
+    for _, lat in named_corpus():
+        for x in lat.interior():
+            c = certificate_complex(lat, x)
+            if c.face_count() <= 128:
+                complexes.append(c)
+    backtracked = 0
+    for c in complexes:
+        expected, undone = reference_collapsible(c)
+        backtracked += undone > 0
+        seq = brute_collapsible(c)
+        if expected is None:
+            assert seq is None
+        else:
+            assert seq is not None
+            assert [(p.free_face, p.coface) for p in seq.pairs] == expected[0]
+            assert seq.final_vertex == expected[1]
+    # the comparison covers searches that take collapses back (48 of the
+    # random complexes), not only greedy ones
+    assert backtracked >= 48
 
 
 def test_even_face_count_is_never_collapsible():
@@ -174,6 +278,40 @@ def test_brute_certificate_agrees_with_brute_nonevasive():
         assert (cert is not None) == nev, name
         if cert is not None:
             assert verify_certificate(c, cert).ok, name
+
+
+def reference_certificate(c, memo):
+    """The certificate search before brute_certificate kept a per-call
+    cache in front of the shared memo."""
+    if len(c.vertices) == 1:
+        return Leaf(c.vertices[0])
+    key = memo_key(c)
+    if key in memo:
+        return memo[key]
+    found = None
+    for v in c.vertices:
+        try:
+            lk = c.link(v)
+        except EmptyLink:
+            continue
+        dl_cert = reference_certificate(c.deletion(v), memo)
+        if dl_cert is None:
+            continue
+        lk_cert = reference_certificate(lk, memo)
+        if lk_cert is None:
+            continue
+        found = Split(v, "case2_atom", v, dl_cert, lk_cert)
+        break
+    memo[key] = found
+    return found
+
+
+def test_certificate_search_matches_the_reference():
+    memo, reference_memo = {}, {}
+    for name, c in random_complexes(count=300):
+        assert brute_certificate(c, memo=memo) == reference_certificate(
+            c, reference_memo), name
+    assert memo.keys() == reference_memo.keys()
 
 
 def test_certifier_matches_oracle_on_divisors():
