@@ -12,6 +12,7 @@ distinct node.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial, wraps
 from operator import attrgetter
@@ -66,27 +67,38 @@ class _Node:
         return True
 
     def __hash__(self):
-        # a node sits under the _FOLD mark until its children are hashed
-        hashes, stack = {}, [self]
-        while stack:
-            node = stack.pop()
-            if node is _FOLD:
-                node = stack.pop()
-                t = type(node)
-                hashes[id(node)] = hash((t, t._own(node), *[
-                    hashes[id(getattr(node, k))] for k in t._kids]))
-            elif id(node) not in hashes:
-                t = type(node)
-                if not issubclass(t, _Node):
-                    hashes[id(node)] = hash(node)
-                elif t._kids:
-                    stack += [node, _FOLD, *[getattr(node, k) for k in t._kids]]
-                else:
-                    hashes[id(node)] = hash((t, t._own(node)))
-        return hashes[id(self)]
+        return _fold(self, lambda node, *kids: hash(
+            (type(node), node._own(node), *kids)
+            if isinstance(node, _Node) else node))
 
 
-_FOLD = object()
+def _fold(root, visit):
+    """Call ``visit(node, *child_results)`` once per distinct node of a
+    certificate or strategy DAG, children first, and return the root's
+    result.  Children are the ``_kids`` fields; any other value is a
+    childless node.  The stack is explicit and a shared node is visited
+    once, so any depth is folded in time linear in the DAG."""
+    # (node, None) is to expand, (node, children) to visit; a childless
+    # child is visited on sight.  Loops, as a comprehension costs more.
+    results, stack = {}, [(root, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is not None:
+            args = []
+            for kid in kids:
+                args.append(results[id(kid)])
+            results[id(node)] = visit(node, *args)
+        elif id(node) not in results:
+            kids = []
+            for name in node._kids:
+                kids.append(getattr(node, name))
+            stack.append((node, kids))
+            for kid in kids:
+                if getattr(kid, "_kids", ()):
+                    stack.append((kid, None))
+                elif id(kid) not in results:
+                    results[id(kid)] = visit(kid)
+    return results[id(root)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,9 +149,10 @@ class Split(_Node):
 
 class CertifyTrace:
     """The decisions a certification run took, stored once per distinct node
-    of the certificate DAG.  ``entries``, ``to_obj`` and ``summary`` write
-    them out as the tree's preorder log, each entry with its tree depth;
-    ``len`` counts the tree's nodes without writing it out."""
+    of the certificate DAG.  ``entries`` and ``to_obj`` write them out as the
+    tree's preorder log, each entry with its tree depth; ``len`` and
+    ``summary`` count the tree's decisions and depth on the DAG without
+    writing it out."""
 
     def __init__(self, root, records):
         self._root, self._records = root, records
@@ -150,10 +163,7 @@ class CertifyTrace:
         while stack:
             node, depth = stack.pop()
             out.append({"depth": depth, **self._records[id(node)]})
-            if isinstance(node, Prune):
-                stack.append((node.child, depth + 1))
-            elif isinstance(node, Split):
-                stack += [(node.lk, depth + 1), (node.dl, depth + 1)]
+            stack += [(getattr(node, k), depth + 1) for k in reversed(node._kids)]
         return out
 
     def __len__(self):
@@ -163,13 +173,15 @@ class CertifyTrace:
         return self.entries
 
     def summary(self):
-        entries = self.entries
-        cases = {}
-        max_depth = 0
-        for e in entries:
-            cases[e["case"]] = cases.get(e["case"], 0) + 1
-            max_depth = max(max_depth, e["depth"])
-        parts = [f"{len(entries)} decisions", f"max depth {max_depth}"]
+        def visit(node, *kids):
+            # (decisions per case, height) of the subtree under node
+            cases = Counter((self._records[id(node)]["case"],))
+            for kid_cases, _ in kids:
+                cases.update(kid_cases)
+            return cases, max((height + 1 for _, height in kids), default=0)
+
+        cases, max_depth = _fold(self._root, visit)
+        parts = [f"{sum(cases.values())} decisions", f"max depth {max_depth}"]
         parts += [f"{k}: {cases[k]}" for k in sorted(cases)]
         return ", ".join(parts)
 
@@ -236,8 +248,7 @@ def certify(lattice, element):
     still reads as a tree (its JSON is the tree written out).  The
     recursion runs on an explicit stack, so any depth is certified.  The
     trace stores each distinct node's decision once and is written out as
-    the tree's preorder log only by its ``entries``, ``to_obj`` and
-    ``summary``.
+    the tree's preorder log only by its ``entries`` and ``to_obj``.
     """
     records = {}
     cert = _certify((lattice, element, records))
@@ -254,8 +265,9 @@ def _iterative(step, key=None):
 
     With ``key``, one run keeps each call's result under ``key(arg)`` and
     answers a later call with an equal key from it instead of stepping
-    again; keyed on the node, a certificate walker does its work once per
-    distinct node of a DAG."""
+    again.  This serves the recursions whose key carries context besides
+    a node (a lattice view, a complex, a ground) and the parsers, whose
+    input is a tree; a walk keyed on the node alone is a ``_fold``."""
     @wraps(step)
     def run(arg):
         # keys runs parallel to stack; the first call is never looked up
@@ -525,7 +537,7 @@ def extract_collapses(certificate, complex_):
         raise VerificationFailed(
             f"certificate fails at {'/'.join(result.path) or 'root'}: {result.reason}"
         )
-    raw, final = _extract(certificate)
+    raw, final = _fold(certificate, _extract)
     sequence = CollapseSequence(
         tuple(CollapsePair(a, b) for a, b in raw), final
     )
@@ -533,15 +545,13 @@ def extract_collapses(certificate, complex_):
     return sequence
 
 
-@partial(_iterative, key=id)
-def _extract(node):
+def _extract(node, *kids):
     if isinstance(node, Leaf):
         return [], node.vertex
     if isinstance(node, Prune):
-        return (yield node.child)
+        return kids[0]
     y = node.vertex
-    lk_pairs, w = yield node.lk
-    dl_pairs, final = yield node.dl
+    (dl_pairs, final), (lk_pairs, w) = kids
     lifted = [(a | {y}, b | {y}) for a, b in lk_pairs]
     lifted.append((frozenset({y}), frozenset({y, w})))
     return lifted + dl_pairs, final
@@ -563,34 +573,31 @@ def certificate_ground(certificate):
     return frozenset(ground)
 
 
-@partial(_iterative, key=id)
 def certificate_size(certificate):
-    """Number of nodes, handy for summaries."""
-    if isinstance(certificate, Leaf):
-        return 1
-    if isinstance(certificate, Prune):
-        return 1 + (yield certificate.child)
-    return 1 + (yield certificate.dl) + (yield certificate.lk)
+    """Number of nodes of the certificate as a tree, counted on its DAG."""
+    return _fold(certificate, lambda node, *kids: 1 + sum(kids))
 
 
-@_iterative
-def certificate_to_obj(node):
+def certificate_to_obj(certificate):
+    """The certificate as JSON-ready dicts, built once per distinct node: a
+    node shared in the DAG is one shared sub-object of the result."""
+    return _fold(certificate, _to_obj)
+
+
+def _to_obj(node, *kids):
     if isinstance(node, Leaf):
         return {"type": "leaf", "vertex": node.vertex}
     if isinstance(node, Prune):
-        return {
-            "type": "prune",
-            "removed": list(node.removed),
-            "child": (yield node.child),
-        }
-    return {
-        "type": "split",
-        "vertex": node.vertex,
-        "mode": node.mode,
-        "z": node.link_element,
-        "dl": (yield node.dl),
-        "lk": (yield node.lk),
-    }
+        return {"type": "prune", "removed": list(node.removed), "child": kids[0]}
+    return {"type": "split", "vertex": node.vertex, "mode": node.mode,
+            "z": node.link_element, "dl": kids[0], "lk": kids[1]}
+
+
+def _string(value):
+    """A label of a parsed node, which must be a string."""
+    if isinstance(value, str):
+        return value
+    raise TypeError(f"label {value!r} is not a string")
 
 
 @_iterative
@@ -600,17 +607,12 @@ def certificate_from_obj(obj):
     kind = obj["type"]
     try:
         if kind == "leaf":
-            return Leaf(obj["vertex"])
+            return Leaf(_string(obj["vertex"]))
         if kind == "prune":
-            return Prune(tuple(obj["removed"]), (yield obj["child"]))
+            return Prune(tuple(map(_string, obj["removed"])), (yield obj["child"]))
         if kind == "split":
-            return Split(
-                obj["vertex"],
-                obj["mode"],
-                obj["z"],
-                (yield obj["dl"]),
-                (yield obj["lk"]),
-            )
+            return Split(_string(obj["vertex"]), _string(obj["mode"]),
+                         _string(obj["z"]), (yield obj["dl"]), (yield obj["lk"]))
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(f"bad certificate node: {exc}") from None
     raise ParseError(f"unknown certificate node type {kind!r}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 
-from .certify import Leaf, Prune, _iterative, _Node, certificate_ground
+from .certify import Leaf, Prune, _fold, _iterative, _string, _Node, certificate_ground
 from .errors import CapExceeded, GroundMismatch, ParseError
 
 GAME_CAP = 16
@@ -147,7 +147,7 @@ def exhaustive_check(strategy, ground, leq, cap=GAME_CAP):
             if leq(u, v) or leq(v, u):
                 comparable[i] |= 1 << j
 
-    compiled = _flatten((strategy, index))
+    compiled = _flatten(strategy, index)
     mismatches = 0
     max_queries = 0
     histogram = {}
@@ -181,29 +181,19 @@ def exhaustive_check(strategy, ground, leq, cap=GAME_CAP):
     )
 
 
-@partial(_iterative, key=lambda args: id(args[0]))
-def _flatten(args):
-    node, index = args
-    if isinstance(node, Answer):
-        return ("a", node.is_chain)
-    return (
-        "q",
-        1 << index[node.vertex],
-        (yield node.yes, index),
-        (yield node.no, index),
-    )
+def _flatten(strategy, index):
+    """The strategy as nested tuples ("a", verdict) and ("q", vertex bit,
+    yes, no)."""
+    return _fold(strategy, lambda node, *kids: (
+        ("q", 1 << index[node.vertex], *kids) if kids else ("a", node.is_chain)))
 
 
-@_iterative
 def strategy_to_obj(strategy):
-    if isinstance(strategy, Answer):
-        return {"type": "answer", "chain": strategy.is_chain}
-    return {
-        "type": "query",
-        "vertex": strategy.vertex,
-        "yes": (yield strategy.yes),
-        "no": (yield strategy.no),
-    }
+    """The strategy as JSON-ready dicts, built once per distinct node: a
+    node shared in the DAG is one shared sub-object of the result."""
+    return _fold(strategy, lambda node, *kids: (
+        {"type": "query", "vertex": node.vertex, "yes": kids[0], "no": kids[1]}
+        if kids else {"type": "answer", "chain": node.is_chain}))
 
 
 @_iterative
@@ -215,18 +205,15 @@ def strategy_from_obj(obj):
         if kind == "answer":
             return Answer(bool(obj["chain"]))
         if kind == "query":
-            return Query(
-                obj["vertex"],
-                (yield obj["yes"]),
-                (yield obj["no"]),
-            )
+            return Query(_string(obj["vertex"]),
+                         (yield obj["yes"]), (yield obj["no"]))
     except KeyError as exc:
         raise ParseError(f"bad strategy node: missing {exc}") from None
+    except TypeError as exc:
+        raise ParseError(f"bad strategy node: {exc}") from None
     raise ParseError(f"unknown strategy node type {kind!r}")
 
 
-@partial(_iterative, key=id)
 def strategy_depth(strategy):
-    if isinstance(strategy, Answer):
-        return 0
-    return 1 + max((yield strategy.yes), (yield strategy.no))
+    """The most queries any play of the strategy asks."""
+    return _fold(strategy, lambda node, *kids: 1 + max(kids) if kids else 0)

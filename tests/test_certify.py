@@ -270,8 +270,14 @@ def test_chain_certificate_shares_its_subproblems():
     cert, trace = certify(chain, "g")
     assert certificate_size(cert) == len(trace) == 4095
     assert len(_distinct_nodes(cert)) == 168
-    tree = certificate_from_obj(certificate_to_obj(cert))
+    obj = certificate_to_obj(cert)
+    tree = certificate_from_obj(obj)
     assert len(_distinct_nodes(tree)) == 4095
+    # the DAG's document shares sub-objects, the tree's does not; their
+    # JSON text is the same
+    assert (json.dumps(obj, sort_keys=True, separators=(",", ":"))
+            == json.dumps(certificate_to_obj(tree), sort_keys=True,
+                          separators=(",", ":")))
 
 
 def test_long_chain_trace_is_not_written_out():
@@ -279,6 +285,60 @@ def test_long_chain_trace_is_not_written_out():
     # tree's node count, 2**38 - 1 here, read off the DAG
     cert, trace = certify(generate("chain", 40), "v20")
     assert len(trace) == certificate_size(cert) == 2**38 - 1
+
+
+_DAG_DOCUMENTS = r"""
+import resource
+import time
+import nonevade as nv
+
+# a build that writes out the tree runs out of this within seconds
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+chain = nv.generate("chain", 40)
+cert, trace = nv.certify(chain, "v20")
+strategy = nv.compile_strategy(cert, nv.interior_members(chain, "v20"))
+for build in (lambda: nv.certificate_to_obj(cert),
+              lambda: nv.strategy_to_obj(strategy), trace.summary):
+    start = time.perf_counter()
+    build()
+    print(time.perf_counter() - start)
+print(trace.summary())
+"""
+
+
+def test_long_chain_documents_are_built_on_the_dag():
+    # the document objects, the strategy's included, and the trace summary
+    # are built once per distinct node: chain-40 stands for a tree of
+    # 2**38 - 1 nodes.  A subprocess with capped memory keeps a tree-sized
+    # build from taking this one down.
+    src = str(pathlib.Path(nonevade.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", _DAG_DOCUMENTS], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    *seconds, summary = run.stdout.splitlines()
+    assert len(seconds) == 3 and all(float(s) < 1.0 for s in seconds), seconds
+    assert summary.startswith(f"{2**38 - 1} decisions, max depth 37,")
+
+
+def _summary_of_entries(trace):
+    """The trace summary read off the written-out log, for reference."""
+    entries = trace.entries
+    cases = {}
+    for e in entries:
+        cases[e["case"]] = cases.get(e["case"], 0) + 1
+    parts = [f"{len(entries)} decisions",
+             f"max depth {max(e['depth'] for e in entries)}"]
+    return ", ".join(parts + [f"{k}: {cases[k]}" for k in sorted(cases)])
+
+
+def test_trace_summary_matches_its_log():
+    for name, lat in named_corpus():
+        for x in lat.interior():
+            _, trace = certify(lat, x)
+            assert trace.summary() == _summary_of_entries(trace), (name, x)
+    _, trace = certify(generate("chain", 14), "g")
+    assert trace.summary() == _summary_of_entries(trace)
 
 
 _DEEP_CERTIFY = r"""
@@ -463,6 +523,21 @@ def test_node_equality_is_structural():
     assert Leaf("a") != Prune((), Leaf("a")) and Leaf("a") != "a"
 
 
+def test_node_with_a_foreign_child_compares_and_hashes():
+    # a child that is not a node is compared and hashed as a value, and the
+    # verifier names it instead of failing
+    junk = Prune(("a",), "junk")
+    assert hash(junk) == hash(Prune(("a",), "junk"))
+    assert junk == Prune(("a",), "junk")
+    assert junk != Prune(("a",), "other") and junk != Prune(("a",), Leaf("junk"))
+    assert len({junk, Prune(("a",), "junk"), Prune(("b",), "junk")}) == 2
+    with pytest.raises(TypeError):
+        hash(Prune(("a",), ["unhashable"]))
+    result = verify_certificate(Complex(["v"], [{"v"}]), Prune((), "junk"))
+    assert not result.ok and result.path == ("child",)
+    assert result.reason == "unknown node str"
+
+
 def test_long_chain_certificates_compare_in_linear_time():
     # two separately certified chain-30 certificates are DAGs of the same
     # shape but share no node; the tree they stand for has 2**28 - 1 nodes
@@ -512,6 +587,18 @@ def test_certificate_from_obj_rejects_garbage():
         certificate_from_obj({"type": "split", "vertex": "a"})
     with pytest.raises(ParseError):
         certificate_from_obj([])
+    leaf = {"type": "leaf", "vertex": "b"}
+    for obj in (
+        {"type": "leaf", "vertex": ["3"]},
+        {"type": "leaf", "vertex": 3},
+        {"type": "prune", "removed": [["x"]], "child": leaf},
+        {"type": "split", "vertex": "a", "mode": ["case1_atom"], "z": "b",
+         "dl": leaf, "lk": leaf},
+        {"type": "split", "vertex": "a", "mode": "case1_atom", "z": None,
+         "dl": leaf, "lk": leaf},
+    ):
+        with pytest.raises(ParseError):
+            certificate_from_obj(obj)
 
 
 def test_certificate_ground(d12):

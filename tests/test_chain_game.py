@@ -14,7 +14,7 @@ from nonevade.chain_game import (
     strategy_from_obj,
     strategy_to_obj,
 )
-from nonevade.errors import CapExceeded, GroundMismatch
+from nonevade.errors import CapExceeded, GroundMismatch, ParseError
 from nonevade.lattice import generate
 
 
@@ -179,6 +179,13 @@ def test_deep_strategy_round_trips_and_measures():
     assert strategy_depth(strategy) == strategy_depth(back) == depth
     assert back == strategy and hash(back) == hash(strategy)
     assert back != Query("v1499", Answer(False), Answer(True))
+
+
+def test_strategy_from_obj_wants_string_vertices():
+    with pytest.raises(ParseError):
+        strategy_from_obj({"type": "query", "vertex": ["a"],
+                           "yes": {"type": "answer", "chain": True},
+                           "no": {"type": "answer", "chain": True}})
 
 
 def test_strategy_equality_is_structural():

@@ -107,6 +107,21 @@ def test_verify_deeply_nested_certificate_is_usage_error(capsys, d12_file, tmp_p
     assert json.loads(err)["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize("cert", [
+    {"type": "prune", "removed": [["x"]], "child": {"type": "leaf", "vertex": "2"}},
+    {"type": "split", "vertex": ["3"], "mode": "case1_atom", "z": "6",
+     "dl": {"type": "leaf", "vertex": "2"}, "lk": {"type": "leaf", "vertex": "2"}},
+])
+def test_verify_non_string_label_is_usage_error(capsys, d12_file, tmp_path, cert):
+    cert_path = tmp_path / "bad.json"
+    cert_path.write_text(json.dumps(cert))
+    code, out, err = run(capsys, "verify", d12_file, "-x", "2", "--json",
+                         "--cert", str(cert_path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ParseError"
+
+
 def test_certificate_file_byte_stable(capsys, d12_file, tmp_path):
     first = tmp_path / "one.json"
     second = tmp_path / "two.json"
