@@ -33,15 +33,20 @@ MODES = ("case1_atom", "case1_coatom", "case2_atom", "case2_coatom")
 
 
 class _Node:
-    """Structural ``==`` and ``hash`` for the nodes of certificates and of
-    query strategies.  A node type names its own fields in ``_own`` (an
-    attrgetter) and its child fields in ``_kids``.
+    """A node of a certificate or of a query strategy.  A node type declares
+    its wire form once, as ``wire=(type name, (key, field, kind), ...)``:
+    fields in document order, which is also constructor order, and kind
+    ``str``, ``bool``, ``list`` (of strings) or None for a child.  ``_own``
+    (an attrgetter), ``_kids``, ``_to_obj`` and ``_parser`` all read it.
 
-    Both walk on an explicit stack and look at each distinct node (for
-    ``==``, each pair of nodes) once, so a deep tree needs no recursion
-    and a shared one costs time linear in its DAG."""
+    ``==`` and ``hash`` walk on an explicit stack and look at each distinct
+    node (for ``==``, each pair of nodes) once, so a deep tree needs no
+    recursion and a shared one costs time linear in its DAG."""
 
-    _kids = ()
+    def __init_subclass__(cls, wire):
+        cls._type, *cls._wire = wire
+        cls._own = attrgetter(*[f for _, f, kind in cls._wire if kind])
+        cls._kids = tuple(f for _, f, kind in cls._wire if kind is None)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -102,45 +107,37 @@ def _fold(root, visit):
 
 
 @dataclass(frozen=True, eq=False)
-class Leaf(_Node):
+class Leaf(_Node, wire=("leaf", ("vertex", "vertex", str))):
     """Single remaining vertex: the recursion's base case."""
 
     vertex: str
 
-    _own = attrgetter("vertex")
-
 
 @dataclass(frozen=True, eq=False)
-class Prune(_Node):
+class Prune(_Node, wire=("prune", ("removed", "removed", list),
+                         ("child", "child", None))):
     """Interior elements discarded wholesale; the child covers the same complex."""
 
     removed: tuple
     child: object
-
-    _own = attrgetter("removed")
-    _kids = ("child",)
 
     def __post_init__(self):
         object.__setattr__(self, "removed", tuple(self.removed))
 
 
 @dataclass(frozen=True, eq=False)
-class Split(_Node):
-    """Recursion on the deletion and the link of ``vertex``.
-
-    ``mode`` records which elimination case chose the vertex;
-    ``link_element`` is the element the link child certifies (serialised
-    under the wire key "z").
-    """
+class Split(_Node, wire=("split", ("vertex", "vertex", str), ("mode", "mode", str),
+                         ("z", "link_element", str), ("dl", "dl", None),
+                         ("lk", "lk", None))):
+    """Recursion on the deletion and the link of ``vertex``.  ``mode``
+    records which elimination case chose the vertex; ``link_element`` is the
+    element the link child certifies."""
 
     vertex: str
     mode: str
     link_element: str
     dl: object
     lk: object
-
-    _own = attrgetter("vertex", "mode", "link_element")
-    _kids = ("dl", "lk")
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -266,8 +263,8 @@ def _iterative(step, key=None):
     With ``key``, one run keeps each call's result under ``key(arg)`` and
     answers a later call with an equal key from it instead of stepping
     again.  This serves the recursions whose key carries context besides
-    a node (a lattice view, a complex, a ground) and the parsers, whose
-    input is a tree; a walk keyed on the node alone is a ``_fold``."""
+    a node (a lattice view, a complex) and the parsers, whose input is a
+    tree; a walk keyed on the node alone is a ``_fold``."""
     @wraps(step)
     def run(arg):
         # keys runs parallel to stack; the first call is never looked up
@@ -585,37 +582,44 @@ def certificate_to_obj(certificate):
 
 
 def _to_obj(node, *kids):
-    if isinstance(node, Leaf):
-        return {"type": "leaf", "vertex": node.vertex}
-    if isinstance(node, Prune):
-        return {"type": "prune", "removed": list(node.removed), "child": kids[0]}
-    return {"type": "split", "vertex": node.vertex, "mode": node.mode,
-            "z": node.link_element, "dl": kids[0], "lk": kids[1]}
+    """The wire form of one node, given its children's; a ``_fold`` visit."""
+    obj, kids = {"type": node._type}, iter(kids)
+    for key, name, kind in node._wire:
+        value = next(kids) if kind is None else getattr(node, name)
+        obj[key] = list(value) if kind is list else value
+    return obj
 
 
-def _string(value):
-    """A label of a parsed node, which must be a string."""
-    if isinstance(value, str):
-        return value
-    raise TypeError(f"label {value!r} is not a string")
+def _parser(what, *types):
+    """The parser of the documents whose nodes are ``types``: it refuses a
+    node of an unknown type, a missing field and a field of the wrong kind
+    with ParseError.  It runs on ``_iterative`` because its input is a tree."""
+    by_type = {t._type: t for t in types}
+
+    @_iterative
+    def parse(obj):
+        try:
+            t, args = by_type[obj["type"]], []
+        except (KeyError, TypeError):
+            raise ParseError(f"{what} node must be an object whose type is "
+                             f"one of {', '.join(by_type)}") from None
+        for key, _, kind in t._wire:
+            value = obj.get(key)  # a missing field is None, of no kind
+            if kind is None:
+                value = yield value
+            elif not isinstance(value, kind) or kind is list and not all(
+                    isinstance(v, str) for v in value):
+                want = "list of strings" if kind is list else kind.__name__
+                raise ParseError(f"bad {what} node: {key!r} is missing or not a {want}")
+            args.append(value)
+        try:
+            return t(*args)
+        except ValueError as exc:
+            raise ParseError(f"bad {what} node: {exc}") from None
+    return parse
 
 
-@_iterative
-def certificate_from_obj(obj):
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ParseError("certificate node must be an object with a type")
-    kind = obj["type"]
-    try:
-        if kind == "leaf":
-            return Leaf(_string(obj["vertex"]))
-        if kind == "prune":
-            return Prune(tuple(map(_string, obj["removed"])), (yield obj["child"]))
-        if kind == "split":
-            return Split(_string(obj["vertex"]), _string(obj["mode"]),
-                         _string(obj["z"]), (yield obj["dl"]), (yield obj["lk"]))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseError(f"bad certificate node: {exc}") from None
-    raise ParseError(f"unknown certificate node type {kind!r}")
+certificate_from_obj = _parser("certificate", Leaf, Prune, Split)
 
 
 # --- lattice-level audit ------------------------------------------------------------

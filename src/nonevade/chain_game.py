@@ -8,30 +8,24 @@ subset is a chain using at most |ground| - 1 questions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from operator import attrgetter
 
-from .certify import Leaf, Prune, _fold, _iterative, _string, _Node, certificate_ground
-from .errors import CapExceeded, GroundMismatch, ParseError
+from .certify import Leaf, Prune, _fold, _Node, _parser, _to_obj, certificate_ground
+from .errors import CapExceeded, GroundMismatch
 
 GAME_CAP = 16
 
 
 @dataclass(frozen=True, eq=False)
-class Answer(_Node):
+class Answer(_Node, wire=("answer", ("chain", "is_chain", bool))):
     is_chain: bool
-
-    _own = attrgetter("is_chain")
 
 
 @dataclass(frozen=True, eq=False)
-class Query(_Node):
+class Query(_Node, wire=("query", ("vertex", "vertex", str), ("yes", "yes", None),
+                         ("no", "no", None))):
     vertex: str
     yes: object
     no: object
-
-    _own = attrgetter("vertex")
-    _kids = ("yes", "no")
 
 
 @dataclass(frozen=True)
@@ -57,13 +51,9 @@ class GameReport:
     histogram: dict
 
     def to_obj(self):
-        return {
-            "ground_size": self.ground_size,
-            "subsets_tested": self.subsets_tested,
-            "mismatches": self.mismatches,
-            "max_queries": self.max_queries,
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-        }
+        # the fields in declaration order, with the histogram's keys as text
+        return {**vars(self), "histogram": {
+            str(k): v for k, v in sorted(self.histogram.items())}}
 
 
 def compile_strategy(certificate, ground):
@@ -72,46 +62,43 @@ def compile_strategy(certificate, ground):
     A Split queries its vertex.  On "no" the deletion child handles the
     rest of the ground.  On "yes" every vertex absent from the link (a
     "dead" vertex: together with the queried one it cannot sit in any
-    chain) is probed next in canonical order, answering not-a-chain as
-    soon as one is present; afterwards the link child takes over on the
+    chain) is probed next in the order of ``ground``, answering not-a-chain
+    as soon as one is present; afterwards the link child takes over on the
     link's vertex set.  A Leaf answers yes without a question, which is
     what keeps the budget one below the ground size.
 
-    A certificate node reached again on the same ground is compiled once,
-    so a certificate DAG gives a strategy DAG.
+    A node's vertex set is its Leaf's vertex, or its Prune child's set, or
+    its Split vertex plus its deletion child's set, which must hold the
+    link child's set; so one fold builds each distinct node's strategy and
+    vertex set once, and a certificate DAG gives a strategy DAG.
     """
     ground = tuple(ground)
+    order = {v: i for i, v in enumerate(ground)}
     implied = certificate_ground(certificate)
-    if implied != frozenset(ground):
+    if implied != order.keys() or len(order) < len(ground):
         raise GroundMismatch(
             f"certificate covers {sorted(implied)}, ground is {sorted(ground)}"
         )
-    return _compile((certificate, ground, {}))
 
+    def visit(node, *kids):
+        # (strategy, vertex set) of the subtree under node
+        if isinstance(node, Prune):
+            return kids[0]
+        y = node.vertex
+        if y not in order:
+            raise GroundMismatch(f"certificate vertex {y!r} is off the ground")
+        if isinstance(node, Leaf):
+            return Answer(True), frozenset((y,))
+        (no, rest), (yes, link) = kids
+        if y in rest:
+            raise GroundMismatch(f"split vertex {y!r} recurs in its deletion child")
+        if not link <= rest:
+            raise GroundMismatch(f"link vertices at {y!r} escape the deletion child")
+        for dead in sorted(rest - link, key=order.__getitem__, reverse=True):
+            yes = Query(dead, Answer(False), yes)
+        return Query(y, yes, no), rest | {y}
 
-@partial(_iterative, key=lambda args: (id(args[0]), args[1]))
-def _compile(args):
-    # link_grounds: certificate_ground of each link child seen, by node id
-    node, ground, link_grounds = args
-    if isinstance(node, Leaf):
-        if ground != (node.vertex,):
-            raise GroundMismatch(f"leaf {node.vertex!r} against ground {ground}")
-        return Answer(True)
-    if isinstance(node, Prune):
-        return (yield node.child, ground, link_grounds)
-    y = node.vertex
-    if y not in ground:
-        raise GroundMismatch(f"split vertex {y!r} missing from ground {ground}")
-    rest = tuple(v for v in ground if v != y)
-    link_vertices = link_grounds.get(id(node.lk))
-    if link_vertices is None:
-        link_vertices = link_grounds[id(node.lk)] = certificate_ground(node.lk)
-    if not link_vertices <= frozenset(rest):
-        raise GroundMismatch(f"link vertices escape the ground at {y!r}")
-    yes = yield node.lk, tuple(v for v in rest if v in link_vertices), link_grounds
-    for dead in reversed([v for v in rest if v not in link_vertices]):
-        yes = Query(dead, Answer(False), yes)
-    return Query(y, yes, (yield node.dl, rest, link_grounds))
+    return _fold(certificate, visit)[0]
 
 
 def play(strategy, hidden):
@@ -132,10 +119,10 @@ def play(strategy, hidden):
 def exhaustive_check(strategy, ground, leq, cap=GAME_CAP):
     """Play every subset of the ground and compare with the chain predicate.
 
-    ``leq`` is the order predicate on ground elements; a subset is a
-    chain when all its pairs are comparable.  Returns a GameReport whose
-    mismatch count must be zero for a correct strategy.
-    """
+    ``leq`` is the order predicate on ground elements; a subset is a chain
+    when all its pairs are comparable.  Returns a GameReport whose mismatch
+    count must be zero for a correct strategy; a query about a vertex off
+    the ground raises GroundMismatch."""
     ground = tuple(ground)
     n = len(ground)
     if n > cap:
@@ -184,34 +171,23 @@ def exhaustive_check(strategy, ground, leq, cap=GAME_CAP):
 def _flatten(strategy, index):
     """The strategy as nested tuples ("a", verdict) and ("q", vertex bit,
     yes, no)."""
-    return _fold(strategy, lambda node, *kids: (
-        ("q", 1 << index[node.vertex], *kids) if kids else ("a", node.is_chain)))
+    def visit(node, *kids):
+        if not kids:
+            return "a", node.is_chain
+        if node.vertex not in index:
+            raise GroundMismatch(f"strategy asks about {node.vertex!r}, off the ground")
+        return ("q", 1 << index[node.vertex], *kids)
+
+    return _fold(strategy, visit)
 
 
 def strategy_to_obj(strategy):
     """The strategy as JSON-ready dicts, built once per distinct node: a
     node shared in the DAG is one shared sub-object of the result."""
-    return _fold(strategy, lambda node, *kids: (
-        {"type": "query", "vertex": node.vertex, "yes": kids[0], "no": kids[1]}
-        if kids else {"type": "answer", "chain": node.is_chain}))
+    return _fold(strategy, _to_obj)
 
 
-@_iterative
-def strategy_from_obj(obj):
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ParseError("strategy node must be an object with a type")
-    kind = obj["type"]
-    try:
-        if kind == "answer":
-            return Answer(bool(obj["chain"]))
-        if kind == "query":
-            return Query(_string(obj["vertex"]),
-                         (yield obj["yes"]), (yield obj["no"]))
-    except KeyError as exc:
-        raise ParseError(f"bad strategy node: missing {exc}") from None
-    except TypeError as exc:
-        raise ParseError(f"bad strategy node: {exc}") from None
-    raise ParseError(f"unknown strategy node type {kind!r}")
+strategy_from_obj = _parser("strategy", Answer, Query)
 
 
 def strategy_depth(strategy):

@@ -65,14 +65,10 @@ def named_corpus():
     return out
 
 
-def random_corpus(
-    count=500,
-    base_size=RANDOM_BASE_SIZE,
-    edge_probability=RANDOM_EDGE_PROBABILITY,
-    max_size=RANDOM_MAX_SIZE,
-    seed_start=0,
-):
-    """Scan seeds upward and keep completions of at most ``max_size`` elements.
+def random_corpus(count=500, seed_start=0):
+    """Scan seeds upward and keep the Dedekind-MacNeille completions of
+    random RANDOM_BASE_SIZE-point posets (edge probability
+    RANDOM_EDGE_PROBABILITY) that have at most RANDOM_MAX_SIZE elements.
 
     Purely a function of its arguments: the same seeds always produce the
     same list.
@@ -85,8 +81,9 @@ def random_corpus(
             raise NonevadeError(
                 f"random corpus scan exhausted {limit} seeds before finding {count}"
             )
-        lat = generate("random", base_size, p=edge_probability, seed=seed)
-        if len(lat) <= max_size:
+        lat = generate("random", RANDOM_BASE_SIZE, p=RANDOM_EDGE_PROBABILITY,
+                       seed=seed)
+        if len(lat) <= RANDOM_MAX_SIZE:
             out.append((f"random-s{seed:05d}", lat))
         seed += 1
     return out
@@ -96,10 +93,11 @@ def full_corpus(random_count=500):
     return named_corpus() + random_corpus(count=random_count)
 
 
-def random_complex(seed, min_vertices=4, max_vertices=7):
-    """A seeded random complex; generally not an order complex."""
+def random_complex(seed):
+    """A seeded random complex on 4 to 7 vertices; generally not an order
+    complex."""
     rng = Random(seed)
-    n = rng.randint(min_vertices, max_vertices)
+    n = rng.randint(4, 7)
     vertices = [f"v{i}" for i in range(n)]
     faces = []
     for _ in range(rng.randint(2, 6)):
@@ -110,8 +108,6 @@ def random_complex(seed, min_vertices=4, max_vertices=7):
     return Complex(vertices, faces)
 
 
-def random_complexes(count=50, seed_base=777):
-    return [
-        (f"complex-s{seed_base + k}", random_complex(seed_base + k))
-        for k in range(count)
-    ]
+def random_complexes(count=50):
+    seeds = range(777, 777 + count)
+    return [(f"complex-s{seed}", random_complex(seed)) for seed in seeds]

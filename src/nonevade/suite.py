@@ -127,8 +127,7 @@ def criterion_certification(run):
     )
 
 
-def criterion_oracle_equivalence(run, nonevasive_cap=NONEVASIVE_CAP,
-                                 complex_count=50):
+def criterion_oracle_equivalence(run, nonevasive_cap=NONEVASIVE_CAP):
     """2: the brute oracle accepts every certified complex, and agrees
     with certificate search on arbitrary complexes."""
     t0 = time.perf_counter()
@@ -144,7 +143,8 @@ def criterion_oracle_equivalence(run, nonevasive_cap=NONEVASIVE_CAP,
             failures.append(f"{name}/{x}: brute oracle says evasive")
     cert_memo = {}
     nev_count = 0
-    for name, complex_ in random_complexes(count=complex_count):
+    complexes = random_complexes()
+    for name, complex_ in complexes:
         nev = brute_nonevasive(complex_, memo=memo)
         witness = brute_certificate(complex_, memo=cert_memo)
         if (witness is not None) != nev:
@@ -160,7 +160,7 @@ def criterion_oracle_equivalence(run, nonevasive_cap=NONEVASIVE_CAP,
         passed=not failures,
         detail=(
             f"{checked} order complexes brute-checked nonevasive; "
-            f"{complex_count} random complexes ({nev_count} nonevasive) agree "
+            f"{len(complexes)} random complexes ({nev_count} nonevasive) agree "
             f"with certificate search"
         ),
         seconds=time.perf_counter() - t0,

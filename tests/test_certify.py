@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from nonevade.certify import (
     interior_members,
     verify_certificate,
 )
-from nonevade.chain_game import Answer, compile_strategy, strategy_to_obj
+from nonevade.chain_game import Answer, Query, compile_strategy, strategy_to_obj
 from nonevade.complexes import Complex, replay_collapses
 from nonevade.corpus import M3_TEXT, N5_TEXT, named_corpus, random_corpus
 from nonevade.errors import (
@@ -523,6 +524,17 @@ def test_node_equality_is_structural():
     assert Leaf("a") != Prune((), Leaf("a")) and Leaf("a") != "a"
 
 
+def test_node_wire_declarations_follow_the_constructor():
+    # the parser builds a node from its wire fields in order, so that order
+    # must be the dataclass's; _own and _kids are derived from it
+    for t in (Leaf, Prune, Split, Answer, Query):
+        assert [name for _, name, _ in t._wire] == [f.name for f in fields(t)]
+    assert Split._kids == ("dl", "lk") and Prune._kids == ("child",)
+    assert Leaf._kids == () and Query._kids == ("yes", "no")
+    assert Split._own(Split("a", "case1_atom", "z", None, None)) == (
+        "a", "case1_atom", "z")
+
+
 def test_node_with_a_foreign_child_compares_and_hashes():
     # a child that is not a node is compared and hashed as a value, and the
     # verifier names it instead of failing
@@ -596,6 +608,14 @@ def test_certificate_from_obj_rejects_garbage():
          "dl": leaf, "lk": leaf},
         {"type": "split", "vertex": "a", "mode": "case1_atom", "z": None,
          "dl": leaf, "lk": leaf},
+        # removed must be a JSON list of strings, not any iterable of them
+        {"type": "prune", "removed": "ab", "child": leaf},
+        {"type": "prune", "removed": {"x": 1}, "child": leaf},
+        {"type": "prune", "removed": ["a"]},
+        {"type": "split", "vertex": "a", "mode": "case9_atom", "z": "b",
+         "dl": leaf, "lk": leaf},
+        {"type": {"leaf": 1}, "vertex": "a"},
+        {"type": "answer", "chain": True},
     ):
         with pytest.raises(ParseError):
             certificate_from_obj(obj)

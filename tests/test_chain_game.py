@@ -1,9 +1,23 @@
+import json
+from functools import partial
 from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonevade.certify import certify, interior_members, Leaf
+from nonevade.certify import (
+    Leaf,
+    Prune,
+    Split,
+    _iterative,
+    certificate_complex,
+    certificate_from_obj,
+    certificate_ground,
+    certificate_to_obj,
+    certify,
+    interior_members,
+)
 from nonevade.chain_game import (
     Answer,
     Query,
@@ -14,6 +28,7 @@ from nonevade.chain_game import (
     strategy_from_obj,
     strategy_to_obj,
 )
+from nonevade.corpus import named_corpus
 from nonevade.errors import CapExceeded, GroundMismatch, ParseError
 from nonevade.lattice import generate
 
@@ -57,6 +72,120 @@ def test_compile_checks_ground(d12):
     cert, _ = certify(d12, "2")
     with pytest.raises(GroundMismatch):
         compile_strategy(cert, ("2", "3", "4"))
+
+
+def test_compile_refuses_a_repeated_ground_vertex(d12):
+    cert, _ = certify(d12, "2")
+    with pytest.raises(GroundMismatch):
+        compile_strategy(cert, ("2", "3", "4", "6", "3"))
+
+
+# A test-only copy of the compiler the fold replaced: a recursion on
+# (node, ground) that passes each child its ground and reads a link child's
+# vertices off its deletion spine.
+@partial(_iterative, key=lambda args: (id(args[0]), args[1]))
+def _reference_compile(args):
+    node, ground, link_grounds = args
+    if isinstance(node, Leaf):
+        if ground != (node.vertex,):
+            raise GroundMismatch(f"leaf {node.vertex!r} against ground {ground}")
+        return Answer(True)
+    if isinstance(node, Prune):
+        return (yield node.child, ground, link_grounds)
+    y = node.vertex
+    if y not in ground:
+        raise GroundMismatch(f"split vertex {y!r} missing from ground {ground}")
+    rest = tuple(v for v in ground if v != y)
+    link_vertices = link_grounds.get(id(node.lk))
+    if link_vertices is None:
+        link_vertices = link_grounds[id(node.lk)] = certificate_ground(node.lk)
+    if not link_vertices <= frozenset(rest):
+        raise GroundMismatch(f"link vertices escape the ground at {y!r}")
+    yes = yield node.lk, tuple(v for v in rest if v in link_vertices), link_grounds
+    for dead in reversed([v for v in rest if v not in link_vertices]):
+        yes = Query(dead, Answer(False), yes)
+    return Query(y, yes, (yield node.dl, rest, link_grounds))
+
+
+def _reference_compile_strategy(certificate, ground):
+    ground = tuple(ground)
+    implied = certificate_ground(certificate)
+    if implied != frozenset(ground):
+        raise GroundMismatch(f"certificate covers {sorted(implied)}")
+    return _reference_compile((certificate, ground, {}))
+
+
+def _outcomes(cert, ground):
+    """(fold, reference) strategy JSON text, or GroundMismatch, of one input."""
+    out = []
+    for compile_ in (compile_strategy, _reference_compile_strategy):
+        try:
+            out.append(json.dumps(strategy_to_obj(compile_(cert, ground))))
+        except GroundMismatch:
+            out.append(GroundMismatch)
+    return out
+
+
+def _label_slots(obj):
+    """The leaf and split nodes of a certificate document, in preorder."""
+    slots, stack = [], [obj]
+    while stack:
+        node = stack.pop()
+        if node["type"] != "prune":
+            slots.append(node)
+        stack += [node[k] for k in ("child", "lk", "dl") if k in node]
+    return slots
+
+
+def test_compile_fold_matches_the_reference():
+    chain = generate("chain", 14)
+    cert, _ = certify(chain, "g")
+    ground = certificate_complex(chain, "g").vertices
+    fold, reference = _outcomes(cert, ground)
+    assert fold == reference != GroundMismatch
+    rng, mutants, refused = Random(10), 0, 0
+    for _, lat in named_corpus():
+        for x in lat.interior():
+            cert, _ = certify(lat, x)
+            ground = certificate_complex(lat, x).vertices
+            for order in (ground, ground[::-1]):
+                fold, reference = _outcomes(cert, order)
+                assert fold == reference != GroundMismatch
+            # every label of the tree, in turn, moved to another vertex or
+            # off the ground: the fold refuses what the reference refuses
+            text = json.dumps(certificate_to_obj(cert))
+            for k in range(len(_label_slots(json.loads(text)))):
+                obj = json.loads(text)
+                slot = _label_slots(obj)[k]
+                slot["vertex"] = rng.choice([v for v in ground + ("zz",)
+                                             if v != slot["vertex"]])
+                fold, reference = _outcomes(certificate_from_obj(obj), ground)
+                assert fold == reference
+                mutants += 1
+                refused += fold is GroundMismatch
+    assert (mutants, refused) == (2635, 2412)
+
+
+def test_compile_refuses_bad_certificates_where_the_reference_does():
+    def split(y, dl, lk):
+        return Split(y, "case1_atom", "z", dl, lk)
+
+    for cert, ground in (
+        # the split vertex recurs in its deletion child
+        (split("a", split("a", Leaf("b"), Leaf("b")), Leaf("b")), ("a", "b")),
+        # a link vertex is on the ground but not among the deletion child's
+        (split("b", split("a", Leaf("c"), Leaf("b")), Leaf("c")), ("a", "b", "c")),
+        # a leaf names a vertex outside the ground
+        (split("a", Leaf("b"), Leaf("zz")), ("a", "b")),
+        # the root covers another ground
+        (split("a", Leaf("b"), Leaf("b")), ("a", "c")),
+        (split("a", Leaf("b"), Leaf("b")), ("a",)),
+    ):
+        assert _outcomes(cert, ground) == [GroundMismatch, GroundMismatch]
+    # and a sound hand-built certificate compiles the same way in both
+    fold, reference = _outcomes(split("a", split("b", Leaf("c"), Leaf("c")),
+                                      Leaf("c")), ("c", "a", "b"))
+    assert fold == reference != GroundMismatch
 
 
 def test_no_path_queries_a_vertex_twice(d12):
@@ -143,6 +272,14 @@ def test_exhaustive_single_point():
     assert report.mismatches == 0
 
 
+def test_exhaustive_check_names_a_query_outside_the_ground():
+    strategy = strategy_from_obj({"type": "query", "vertex": "zz",
+                                  "yes": {"type": "answer", "chain": False},
+                                  "no": {"type": "answer", "chain": True}})
+    with pytest.raises(GroundMismatch, match="'zz'"):
+        exhaustive_check(strategy, ("a", "b"), lambda u, v: u == v)
+
+
 def test_exhaustive_cap():
     ground = tuple(f"v{i}" for i in range(17))
     with pytest.raises(CapExceeded):
@@ -186,6 +323,15 @@ def test_strategy_from_obj_wants_string_vertices():
         strategy_from_obj({"type": "query", "vertex": ["a"],
                            "yes": {"type": "answer", "chain": True},
                            "no": {"type": "answer", "chain": True}})
+    # the verdict must be a JSON boolean, not anything truthy
+    for chain in ("no", 1, None, [True]):
+        with pytest.raises(ParseError):
+            strategy_from_obj({"type": "answer", "chain": chain})
+    for obj in ({"type": "answer"}, {"type": "query", "vertex": "a",
+                                      "yes": {"type": "answer", "chain": True}},
+                {"type": ["answer"], "chain": True}, {"type": "leaf", "vertex": "a"}):
+        with pytest.raises(ParseError):
+            strategy_from_obj(obj)
 
 
 def test_strategy_equality_is_structural():

@@ -111,6 +111,7 @@ def test_verify_deeply_nested_certificate_is_usage_error(capsys, d12_file, tmp_p
     {"type": "prune", "removed": [["x"]], "child": {"type": "leaf", "vertex": "2"}},
     {"type": "split", "vertex": ["3"], "mode": "case1_atom", "z": "6",
      "dl": {"type": "leaf", "vertex": "2"}, "lk": {"type": "leaf", "vertex": "2"}},
+    {"type": "prune", "removed": "ab", "child": {"type": "leaf", "vertex": "2"}},
 ])
 def test_verify_non_string_label_is_usage_error(capsys, d12_file, tmp_path, cert):
     cert_path = tmp_path / "bad.json"
