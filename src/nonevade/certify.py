@@ -28,6 +28,7 @@ from .errors import (
     UnknownVertex,
     VerificationFailed,
 )
+from .lattice import Lattice, _bits
 
 MODES = ("case1_atom", "case1_coatom", "case2_atom", "case2_coatom")
 
@@ -149,7 +150,15 @@ class CertifyTrace:
     of the certificate DAG.  ``entries`` and ``to_obj`` write them out as the
     tree's preorder log, each entry with its tree depth; ``len`` and
     ``summary`` count the tree's decisions and depth on the DAG without
-    writing it out."""
+    writing it out.
+
+    A split's rejected candidates are stored as masks, one (order, witness,
+    accepted) triple per scan over the atoms of the lattice or its dual,
+    and become ``[label, reason]`` pairs only in ``entries``.  A scan looks
+    at its atoms in canonical order and stops at the one it accepts, so an
+    entry lists the scan's rejections in canonical order up to that atom;
+    the order mask holds every atom that fails the order test, the later
+    ones included, since it is one whole-mask test."""
 
     def __init__(self, root, records):
         self._root, self._records = root, records
@@ -159,7 +168,10 @@ class CertifyTrace:
         out, stack = [], [(self._root, 0)]
         while stack:
             node, depth = stack.pop()
-            out.append({"depth": depth, **self._records[id(node)]})
+            entry = {"depth": depth, **self._records[id(node)]}
+            if "rejected" in entry:
+                entry["rejected"] = _rejections(*entry["rejected"])
+            out.append(entry)
             stack += [(getattr(node, k), depth + 1) for k in reversed(node._kids)]
         return out
 
@@ -184,22 +196,22 @@ class CertifyTrace:
 
 
 def _certified(lattice, element):
-    """The certified vertex set as a view of the lattice's poset: the
+    """The certified vertex set as a mask over the lattice's root: the
     interior minus the complements of ``element``."""
     if element == lattice.bottom or element == lattice.top:
         raise ElementOnBoundary(f"{element!r} is a bound of the lattice")
     P = lattice.poset
-    return P._view(lattice._interior_mask() & ~lattice._complement_mask(P._at(element)))
+    return lattice._interior_mask() & ~lattice._complement_mask(P._at(element))
 
 
 def interior_members(lattice, element):
     """The certified vertex set: interior elements that do not complement ``element``."""
-    return _certified(lattice, element).elements
+    return lattice.poset._labels(_certified(lattice, element))
 
 
 def certificate_complex(lattice, element):
     """Order complex of the vertex set certify(lattice, element) works on."""
-    return order_complex(_certified(lattice, element))
+    return order_complex(lattice.poset._view(_certified(lattice, element)))
 
 
 def certify(lattice, element):
@@ -247,8 +259,10 @@ def certify(lattice, element):
     trace stores each distinct node's decision once and is written out as
     the tree's preorder log only by its ``entries`` and ``to_obj``.
     """
+    # complements are interior, so the certified set fixes them
+    co = lattice._interior_mask() & ~_certified(lattice, element)
     records = {}
-    cert = _certify((lattice, element, records))
+    cert = _certify((lattice, element, co, records))
     return cert, CertifyTrace(cert, records)
 
 
@@ -290,20 +304,48 @@ def _iterative(step, key=None):
     return run
 
 
-def _split_sound(S, x, y, co):
-    """The deletion and link children of a split on an atom y of S, or None
-    when the split is unsound: the deletion must keep the complement set of
-    x (the mask co), and the complements of join(x, y) in [y, top] must be
-    exactly the members of co above y.  A coatom split is screened on the
-    dual."""
-    pos = S.poset._pos
-    dl = S.remove_atom(y)
-    if dl._complement_mask(pos[x]) != co:
+def _split_sound(S, px, y, co):
+    """The deletion and link children of a split on the atom of S at
+    position y, or None when the split is unsound: the deletion must keep
+    the complement set of the element at px (the mask co), and the
+    complements of join(x, y) in [y, top] must be exactly the members of co
+    above y.  A coatom split is screened on the dual."""
+    dl = S._remove_atom(y)
+    if dl._complement_mask(px) != co:
         return None
-    lk = S.interval(y, S.top)
-    if lk._complement_mask(pos[S.join(x, y)]) != co & lk.poset._mask:
+    lk = S._interval(y, S._bounds[1])
+    if lk._complement_mask(S._join(px, y)) != co & lk.poset._mask:
         return None
     return dl, lk
+
+
+def _first_sound(S, px, candidates, co):
+    """The canonically first atom of S among the positions ``candidates``
+    whose split passes the screen, as (position, children, mask of the
+    candidates before it that failed the screen); the position and the
+    children are None when none passes."""
+    witness = 0
+    while candidates:
+        y = S.poset._first(candidates)
+        children = _split_sound(S, px, y, co)
+        if children is not None:
+            return y, children, witness
+        witness |= 1 << y
+        candidates ^= 1 << y
+    return None, None, witness
+
+
+def _rejections(P, scans):
+    """A split's rejected candidates as [label, reason] pairs: per scan, the
+    atoms that failed the order test or the screen, in canonical order up
+    to the atom the scan accepted, if it accepted one."""
+    out, rank = [], P._rank
+    for order, witness, accepted in scans:
+        for p in P._sorted(order | witness):
+            if accepted is not None and rank[p] > rank[accepted]:
+                break
+            out.append([P._label[p], "order" if order >> p & 1 else "witness"])
+    return out
 
 
 def _record(records, node, **entry):
@@ -316,19 +358,24 @@ def _record(records, node, **entry):
 @partial(_iterative, key=lambda args: (
     args[0].poset._mask, args[0].poset._rev, args[1]))
 def _certify(args):
-    """The certificate for (L, x); a recursive call yields (view, element,
-    records).  A prune or split that fails its checks returns before any
-    node is built, so every node recorded is in the certificate."""
-    L, x, records = args
-    if x == L.bottom or x == L.top:
-        raise ElementOnBoundary(f"{x!r} is a bound of the lattice")
-    P = L.poset
-    co_mask = L._complement_mask(P._at(x))
-    co = set(P._labels(co_mask))
-    interior = L._interior_mask()
-    members = P._labels(interior & ~co_mask)
+    """The certificate for (L, x), where co is the complement mask of x;
+    a recursive call yields (view, element, complement mask, records).  The
+    caller has checked that x is interior and computed co: the root call by
+    ``_certified``, a child's by the screen it passed.  A prune or split
+    that fails its checks returns before any node is built, so every node
+    recorded is in the certificate.
 
-    if interior.bit_count() == 1:
+    The step runs on positions and masks.  The case-1 order test is one
+    mask test per side and one AND per atom: the atoms below x are
+    ``atom_mask & down[x]``, and join(x, y) is the least member above both,
+    so it is the top exactly when the members above x and y are the top
+    alone.  Candidates are taken in canonical order, the first found
+    without a sort, and the children come from ``_remove_atom`` and
+    ``_interval``, which derive their atoms and coatoms incrementally."""
+    L, x, co, records = args
+    P = L.poset
+    px = P._pos[x]
+    if L._interior_mask().bit_count() == 1:
         return _record(records, Leaf(x), case="leaf", lattice_size=len(L),
                        interior_size=1, vertex=x)
 
@@ -338,113 +385,120 @@ def _certify(args):
     # they never do
     sides = ((L, "atom"), (L.dual(), "coatom"))
     had_case1_candidate = False
-    rejected = []
+    scans = []  # (order, witness, accepted) per scan, for the trace
     for S, side in sides:
-        for y in S.atoms:
-            if S.leq(y, x) or S.join(x, y) == S.top:
-                rejected.append((y, "order"))
-                continue
-            had_case1_candidate = True
-            children = _split_sound(S, x, y, co_mask)
-            if children is None:
-                rejected.append((y, "witness"))
-                continue
-            return (yield from _emit_split(S, side, x, y, children, "case1",
-                                           members, rejected, records))
+        Q = S.poset
+        up, top = Q._up, 1 << S._bounds[1]
+        above_x = up[px] & Q._mask
+        order = S._atom_mask & Q._down[px]
+        for y in _bits(S._atom_mask & ~order):
+            if up[y] & above_x == top:
+                order |= 1 << y
+        had_case1_candidate |= order != S._atom_mask
+        y, children, witness = _first_sound(S, px, S._atom_mask & ~order, co)
+        scans.append((order, witness, y))
+        if y is not None:
+            return (yield from _emit_split(args, S, side, y, children, "case1", scans))
 
     # prune: complements sitting among atoms/coatoms drag their whole
     # comparability components out of the lattice
-    seeds = {y for S, _ in sides for y in S.atoms if y in co}
+    seeds = (L._atom_mask | L._coatom_mask) & co
     if seeds:
-        removed = set()
-        for comp in L.comparability_components():
+        removed = 0
+        for comp in L._components():
             if comp & seeds:
                 removed |= comp
-        node = yield from _try_prune(L, x, co, members, removed, records,
-                                     hard=not had_case1_candidate)
+        node = yield from _try_prune(args, removed, hard=not had_case1_candidate)
         if node is not None:
             return node
 
     # fallback prune: discard complements one at a time where sound
-    for s in (e for e in L.elements if e in co):
-        node = yield from _try_prune(L, x, co, members, {s}, records,
-                                     hard=False)
+    for s in P._sorted(co):
+        node = yield from _try_prune(args, 1 << s, hard=False)
         if node is not None:
             return node
 
     # comparable splits: an atom below x, else a coatom above x; with no
     # complements anywhere this is the classic endgame and always succeeds
     for S, side in sides:
-        for y in S.atoms:
-            if y == x or not S.leq(y, x):
-                continue
-            children = _split_sound(S, x, y, co_mask)
-            if children is not None:
-                return (yield from _emit_split(S, side, x, y, children, "case2",
-                                               members, rejected, records))
-            rejected.append((y, "witness"))
+        below_x = S._atom_mask & S.poset._down[px] & ~(1 << px)
+        y, children, witness = _first_sound(S, px, below_x, co)
+        scans.append((0, witness, y))
+        if y is not None:
+            return (yield from _emit_split(args, S, side, y, children, "case2", scans))
 
     raise InternalAssertion(
         "no-sound-step",
         f"no vertex or discard passes the soundness screen "
         f"(element {x!r}, interior {sorted(L.interior())}, "
-        f"complements {sorted(co)})",
+        f"complements {sorted(P._labels(co))})",
     )
 
 
-def _try_prune(L, x, co, members, removed, records, hard):
-    """Validate and emit a Prune, or report why it is unusable.
+def _try_prune(args, removed, hard):
+    """Validate and emit a Prune of the members in the mask ``removed``, or
+    report why it is unusable.
 
     With hard=True (the scans produced no case-1 candidate at all, so the
     discard is theory-guaranteed) failures raise InternalAssertion; with
     hard=False the caller falls through to the next stage.
     """
+    L, x, co, records = args
+    P = L.poset
+
     def fail(tag, detail):
         if hard:
             raise InternalAssertion(tag, detail)
         return None
 
-    if x in removed:
+    if removed >> P._pos[x] & 1:
         return fail("prune-contains-element",
-                    f"{x!r} in discard set {sorted(removed)}")
-    if not removed <= co:
+                    f"{x!r} in discard set {sorted(P._labels(removed))}")
+    if removed & ~co:
         return fail("prune-not-complements",
-                    f"{sorted(removed - co)} are not complements of {x!r}")
+                    f"{sorted(P._labels(removed & ~co))} are not complements of {x!r}")
     try:
-        child_lattice = L.restrict([e for e in L.elements if e not in removed])
+        child_lattice = Lattice(P._view(P._mask & ~removed))
     except NonevadeError as exc:
         return fail("prune-sublattice", str(exc))
-    if set(child_lattice.complements(x)) != co - removed:
+    if child_lattice._complement_mask(P._pos[x]) != co & ~removed:
         return fail("prune-invariance",
                     "complement set changed after discarding")
-    removed_ordered = tuple(e for e in L.elements if e in removed)
-    child = yield child_lattice, x, records
+    removed_ordered = P._labels(removed)
+    child = yield child_lattice, x, co & ~removed, records
     return _record(records, Prune(removed_ordered, child), case="prune",
-                   lattice_size=len(L), interior_size=len(members),
+                   lattice_size=len(L),
+                   interior_size=(L._interior_mask() & ~co).bit_count(),
                    removed=list(removed_ordered))
 
 
-def _emit_split(S, side, x, y, children, case, members, rejected, records):
-    """Split on an atom y of S, where S is the lattice or its dual, recursing
-    on the children that passed the soundness screen.
+def _emit_split(args, S, side, y, children, case, scans):
+    """Split on the atom of S at position y, where S is the lattice or its
+    dual, recursing on the children that passed the soundness screen.
 
     Children built on the dual are dualled back, so the recursion always
     sees the lattice in its original orientation.
     """
-    if y not in members:
-        raise InternalAssertion("split-vertex-outside", f"{y!r} not in {members}")
-    z = S.join(x, y)
-    if z == S.top or z == S.bottom:
-        raise InternalAssertion("split-degenerate-z", f"z={z!r} for vertex {y!r}")
+    L, x, co, records = args
+    Q = S.poset
+    members = L._interior_mask() & ~co
+    vertex = Q._label[y]
+    if not members >> y & 1:
+        raise InternalAssertion("split-vertex-outside",
+                                f"{vertex!r} not in {Q._labels(members)}")
+    pz = S._join(Q._pos[x], y)
+    z = Q._label[pz]
+    if pz in S._bounds:
+        raise InternalAssertion("split-degenerate-z", f"z={z!r} for vertex {vertex!r}")
     dl_lattice, lk_lattice = children
     if side == "coatom":
         dl_lattice, lk_lattice = dl_lattice.dual(), lk_lattice.dual()
     mode = f"{case}_{side}"
-    dl = yield dl_lattice, x, records
-    lk = yield lk_lattice, z, records
-    return _record(records, Split(y, mode, z, dl, lk), case=mode,
-                   lattice_size=len(S), interior_size=len(members), vertex=y,
-                   link_element=z, rejected=[list(r) for r in rejected])
+    dl = yield dl_lattice, x, co, records
+    lk = yield lk_lattice, z, co & lk_lattice.poset._mask, records
+    return _record(records, Split(vertex, mode, z, dl, lk), case=mode,
+                   lattice_size=len(S), interior_size=members.bit_count(),
+                   vertex=vertex, link_element=z, rejected=(Q, scans))
 
 
 # --- complex-level verification ------------------------------------------------
@@ -604,7 +658,9 @@ def _parser(what, *types):
             raise ParseError(f"{what} node must be an object whose type is "
                              f"one of {', '.join(by_type)}") from None
         for key, _, kind in t._wire:
-            value = obj.get(key)  # a missing field is None, of no kind
+            if key not in obj:
+                raise ParseError(f"bad {what} node: {key!r} is missing")
+            value = obj[key]
             if kind is None:
                 value = yield value
             elif not isinstance(value, kind) or kind is list and not all(
@@ -643,17 +699,27 @@ def audit_certificate(lattice, element, certificate):
     """Re-derive every node of a certificate and check the proof identities.
 
     At each Split the child lattices are reconstructed from the recorded
-    mode, and the audit checks (a) the child complexes literally equal
-    the deletion/link of the parent complex, and (b) the complement-set
+    mode, and the audit checks (a) that the child complexes equal the
+    deletion and link of the parent complex, and (b) the complement-set
     identities behind the case-1 reductions (or emptiness for case 2).
-    Prunes must leave the complex label-identical.  Returns an
-    AuditReport listing every discrepancy, at every path where it occurs.
-    A node reached again on the same sublattice with the same element is
-    not audited again: its tally, failures included, is reused under the
-    new path.
+    Prunes must leave the complex unchanged.  Returns an AuditReport
+    listing every discrepancy, at every path where it occurs.  A node
+    reached again on the same sublattice with the same element is not
+    audited again: its tally, failures included, is reused under the new
+    path.
+
+    Every complex here is the order complex of a set of members of one
+    root, and the order complex of a poset is fixed by its member set,
+    whatever the view's orientation.  So (a) compares vertex masks and
+    builds no complex: deleting y from Δ(P) gives Δ(P − y), and the link
+    of y is Δ(P<y ⊕ P>y), the order complex of the members comparable to
+    y (Björner, *Topological methods*, Handbook of Combinatorics, 1995).
+    With c the certified mask of the parent, the deletion child's mask
+    must be c & ~y and the link child's c ∩ (up[y] ∪ down[y]) ∖ y.  The
+    literal link and deletion are checked by ``verify_certificate``.
     """
     splits, prunes, leaves, failures = _audit(
-        (lattice, element, certificate, certificate_complex(lattice, element))
+        (lattice, element, certificate, _certified(lattice, element))
     )
     return AuditReport(splits, prunes, leaves, [
         f"{'/'.join(path) or 'root'}: {what}" for path, what in failures
@@ -670,11 +736,13 @@ def _below(step, failures):
 @partial(_iterative, key=lambda args: (
     id(args[2]), args[0].poset._mask, args[0].poset._rev, args[1]))
 def _audit(args):
-    """Tally (splits, prunes, leaves, failures) of one subtree; a failure is
-    a (path below this node, message) pair."""
+    """Tally (splits, prunes, leaves, failures) of one subtree, audited
+    against c, the certified mask of (L, x); a failure is a (path below
+    this node, message) pair."""
     L, x, node, c = args
+    P = L.poset
     if isinstance(node, Leaf):
-        if len(c.vertices) != 1 or c.vertices[0] != node.vertex:
+        if c.bit_count() != 1 or P._label[c.bit_length() - 1] != node.vertex:
             return 0, 0, 1, [((), "leaf does not match the complex")]
         return 0, 0, 1, []
     if isinstance(node, Prune):
@@ -687,7 +755,7 @@ def _audit(args):
             child_L = L.restrict([e for e in L.elements if e not in removed])
         except NonevadeError as exc:
             return 0, 1, 0, [((), f"prune leaves no lattice: {exc}")]
-        if certificate_complex(child_L, x) != c:
+        if _certified(child_L, x) != c:
             return 0, 1, 0, [((), "complex changed across a prune")]
         splits, prunes, leaves, failures = yield child_L, x, node.child, c
         return splits, prunes + 1, leaves, _below("child", failures)
@@ -695,31 +763,31 @@ def _audit(args):
     y = node.vertex
     case, side = node.mode.split("_")
     S = L.dual() if side == "coatom" else L
-    if y == x or y not in S.atoms or y not in c.vertices:
+    p = P._pos.get(y) if isinstance(y, str) else None
+    if y == x or p is None or not S._atom_mask >> p & 1 or not c >> p & 1:
         return 1, 0, 0, [((), (
             f"{node.mode} split vertex {y!r} is not one of the "
             f"{side}s in the complex other than {x!r}"
         ))]
     failures = []
-    pos = L.poset._pos
-    co = L._complement_mask(pos[x])
-    dl_L, lk_L = S.remove_atom(y), S.interval(y, S.top)
+    px = P._pos[x]
+    co = L._interior_mask() & ~c  # complements are interior
+    dl_L, lk_L = S._remove_atom(p), S._interval(p, S._bounds[1])
     if side == "coatom":
         dl_L, lk_L = dl_L.dual(), lk_L.dual()
-    z = S.join(x, y)
-    if (case == "case2") != S.leq(y, x):
+    z = P._label[S._join(px, p)]
+    if (case == "case2") != bool(S.poset._down[px] >> p & 1):
         failures.append(f"mode {node.mode} disagrees with how {y!r} compares to {x!r}")
     if node.link_element != z:
         failures.append(f"recorded link element {node.link_element!r}, derived {z!r}")
-    if dl_L._complement_mask(pos[x]) != co:
+    dl_c, lk_c = _certified(dl_L, x), _certified(lk_L, z)
+    if dl_L._interior_mask() & ~dl_c != co:
         failures.append("deletion-side complement set changed")
-    if lk_L._complement_mask(pos[z]) != co & lk_L.poset._mask:
+    if lk_L._interior_mask() & ~lk_c != co & lk_L.poset._mask:
         failures.append("link-side complement set mismatch")
-    dl_c = certificate_complex(dl_L, x)
-    lk_c = certificate_complex(lk_L, z)
-    if dl_c != c.deletion(y):
+    if dl_c != c & ~(1 << p):
         failures.append(f"deletion identity fails at {y!r}")
-    if lk_c != c.link(y):
+    if lk_c != c & (P._up[p] | P._down[p]) & ~(1 << p):
         failures.append(f"link identity fails at {y!r}")
     dl_splits, dl_prunes, dl_leaves, dl_failures = yield dl_L, x, node.dl, dl_c
     lk_splits, lk_prunes, lk_leaves, lk_failures = yield lk_L, z, node.lk, lk_c

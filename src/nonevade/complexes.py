@@ -280,20 +280,12 @@ def order_complex(poset):
     """
     if not isinstance(poset, Poset):
         raise TypeError("order_complex expects a Poset")
-    vmask, up, down, rev = poset._mask, poset._up, poset._down, poset._rev
+    vmask, down = poset._mask, poset._down
     if not vmask:
         raise EmptyInterior("the interior set is empty")
-    # bits follow a linear extension of the root (reversed on a dual), so
-    # the first bit of what is left of a strict up-set is a cover, and
-    # dropping its up-set leaves only elements not above any cover found
     covers, stack = {}, []
     for p in _bits(vmask):
-        rest, cover = up[p] & vmask & ~(1 << p), 0
-        while rest:
-            q = rest.bit_length() - 1 if rev else (rest & -rest).bit_length() - 1
-            cover |= 1 << q
-            rest &= ~up[q]
-        covers[p] = cover
+        covers[p] = poset._upper_covers(p, vmask)
         if down[p] & vmask == 1 << p:
             stack.append((p, 1 << p))
     facets = []

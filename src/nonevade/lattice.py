@@ -111,7 +111,7 @@ class Poset:
         # number the bits along a linear extension: the canonical order if
         # it is one, else that order stably sorted by |down|, which
         # strictly increases along the order
-        rank = tuple(range(n))
+        rank = range(n)
         if any(up[i] & ((1 << i) - 1) for i in rank):
             rank = tuple(sorted(rank, key=lambda i: down[i].bit_count()))
             bit = {i: 1 << p for p, i in enumerate(rank)}
@@ -186,6 +186,27 @@ class Poset:
         ranks = sorted(map(self._rank.__getitem__, _bits(mask)))
         return tuple(map(self._canon.__getitem__, ranks))
 
+    def _first(self, mask):
+        """The canonically first position in a nonzero ``mask``: its lowest
+        bit when the bits follow the canonical order (``_rank`` is then a
+        range), else the least rank in one pass."""
+        if type(self._rank) is range:
+            return (mask & -mask).bit_length() - 1
+        return min(_bits(mask), key=self._rank.__getitem__)
+
+    def _upper_covers(self, p, mask):
+        """The members of ``mask`` that cover position p.  Bits follow a
+        linear extension (reversed on a dual), so the first bit of what is
+        left of p's strict up-set is a cover, and dropping its up-set leaves
+        only the members above no cover found so far."""
+        up, rev = self._up, self._rev
+        rest, covers = up[p] & mask & ~(1 << p), 0
+        while rest:
+            q = rest.bit_length() - 1 if rev else (rest & -rest).bit_length() - 1
+            covers |= 1 << q
+            rest &= ~up[q]
+        return covers
+
     def _relation(self):
         """Up-masks over indices into ``elements``: the order as a plain value."""
         order = self._sorted(self._mask)
@@ -247,13 +268,8 @@ class Poset:
 
     def covers(self):
         """Cover pairs (u, v) with u covered by v, in canonical pair order."""
-        mask, up, down, rank = self._mask, self._up, self._down, self._rank
-        out = []
-        for p in _bits(mask):
-            strict_up = up[p] & mask & ~(1 << p)
-            for q in _bits(strict_up):
-                if not strict_up & down[q] & ~(1 << q):
-                    out.append((p, q))
+        mask, rank = self._mask, self._rank
+        out = [(p, q) for p in _bits(mask) for q in _bits(self._upper_covers(p, mask))]
         out.sort(key=lambda pq: (rank[pq[0]], rank[pq[1]]))
         return [(self._label[p], self._label[q]) for p, q in out]
 
@@ -317,27 +333,61 @@ class Lattice:
 
     Construction validates everything: unique minimum and maximum, and a
     unique greatest lower / least upper bound for every pair (raising
-    NotALattice with the offending witnesses otherwise).  Intervals, atom
-    deletions and duals are lattices by construction: they pass their
-    bounds' positions as ``_bounds`` and skip the check.
+    NotALattice with the offending witnesses otherwise), then scans every
+    member once for the atoms (the members covering bottom) and the coatoms.
+    Both are kept as masks; their label tuples ``atoms`` and ``coatoms``
+    are built on first use, and a dual swaps masks and tuples alike.
+
+    Intervals and atom deletions are lattices by construction and derive
+    their atoms and coatoms from their parent's without a scan:
+
+    * ``remove_atom(y)``: deleting an atom y shrinks the down-set of the
+      members above y alone.  So the atoms are the old ones minus y plus
+      the upper covers u of y whose down-set is now {bottom, u}.  Only the
+      up-sets of bottom and y change, so the coatoms stay unless y is a
+      coatom or the top itself; then y leaves them and bottom may join
+      them, and that rare case is scanned again.
+    * ``interval(y, v)``: the atoms are the upper covers of y below v, as
+      a cover of y in the interval is one in the lattice.  For v the top
+      the up-set of a member above y is unchanged, so the coatoms are the
+      old coatoms above y; for any other v they are the lower covers of v,
+      the upper covers of v on the dual.
     """
 
-    __slots__ = ("poset", "bottom", "top", "atoms", "coatoms", "_atom_mask",
-                 "_coatom_mask")
+    __slots__ = ("poset", "bottom", "top", "_bounds", "_atom_mask", "_coatom_mask",
+                 "_atoms", "_coatoms")
 
     def __init__(self, poset, _bounds=None):
-        mask, up, down, label = poset._mask, poset._up, poset._down, poset._label
+        mask, up, down = poset._mask, poset._up, poset._down
         bottom, top = _lattice_bounds(poset) if _bounds is None else _bounds
         atoms = sum(1 << p for p in _bits(mask)
                     if p != bottom and down[p] & mask == 1 << bottom | 1 << p)
         coatoms = sum(1 << p for p in _bits(mask)
                       if p != top and up[p] & mask == 1 << top | 1 << p)
-        self.poset = poset
-        self.bottom, self.top = label[bottom], label[top]
-        self.atoms, self.coatoms = poset._labels(atoms), poset._labels(coatoms)
+        self._init(poset, bottom, top, atoms, coatoms)
+
+    def _init(self, poset, bottom, top, atoms, coatoms):
+        self.poset, self._bounds = poset, (bottom, top)
+        self.bottom, self.top = poset._label[bottom], poset._label[top]
         self._atom_mask, self._coatom_mask = atoms, coatoms
+        self._atoms = self._coatoms = None
+        return self
 
     # -- basic queries ----------------------------------------------------------
+
+    @property
+    def atoms(self):
+        """The members covering bottom, in canonical order."""
+        if self._atoms is None:
+            self._atoms = self.poset._labels(self._atom_mask)
+        return self._atoms
+
+    @property
+    def coatoms(self):
+        """The members covered by top, in canonical order."""
+        if self._coatoms is None:
+            self._coatoms = self.poset._labels(self._coatom_mask)
+        return self._coatoms
 
     @property
     def elements(self):
@@ -367,8 +417,13 @@ class Lattice:
 
     def join(self, u, v):
         P = self.poset
-        common = P._up[P._at(u)] & P._up[P._at(v)] & P._mask
-        return P._label[(common if P._rev else common & -common).bit_length() - 1]
+        return P._label[self._join(P._at(u), P._at(v))]
+
+    def _join(self, p, q):
+        """The position of the join of the members at positions p and q."""
+        P = self.poset
+        common = P._up[p] & P._up[q] & P._mask
+        return (common if P._rev else common & -common).bit_length() - 1
 
     def interior(self):
         """Elements other than bottom and top, in canonical order."""
@@ -396,8 +451,8 @@ class Lattice:
 
     def _interior_mask(self):
         """The members other than bottom and top."""
-        P = self.poset
-        return P._mask & ~(1 << P._pos[self.bottom]) & ~(1 << P._pos[self.top])
+        bottom, top = self._bounds
+        return self.poset._mask & ~(1 << bottom) & ~(1 << top)
 
     # -- transforms ---------------------------------------------------------------
 
@@ -410,26 +465,46 @@ class Lattice:
         if not self.leq(u, v):
             raise NotComparable(f"{u!r} is not below {v!r}")
         P = self.poset
-        p, q = P._at(u), P._at(v)
-        return Lattice(P._view(P._up[p] & P._down[q] & P._mask), (p, q))
+        return self._interval(P._at(u), P._at(v))
+
+    def _interval(self, p, q):
+        """``interval`` on the positions p <= q."""
+        P = self.poset
+        mask = P._up[p] & P._down[q] & P._mask
+        if q == self._bounds[1]:
+            coatoms = self._coatom_mask & mask
+        else:
+            coatoms = P.dual()._upper_covers(q, mask)
+        return Lattice.__new__(Lattice)._init(
+            P._view(mask), p, q, P._upper_covers(p, mask), coatoms)
 
     def remove_atom(self, y):
         """The sublattice without the atom y: meets that were y become bottom."""
-        if y not in self.atoms:
-            self.poset._at(y)  # UnknownElement unless y is an element
+        p = self.poset._at(y)
+        if not self._atom_mask >> p & 1:
             raise NotAnAtom(f"{y!r} is not an atom")
+        return self._remove_atom(p)
+
+    def _remove_atom(self, p):
+        """``remove_atom`` on the position p of an atom."""
         P = self.poset
-        bottom = P._at(self.bottom)
-        top = bottom if y == self.top else P._at(self.top)
-        return Lattice(P._view(P._mask & ~(1 << P._at(y))), (bottom, top))
+        bottom, top = self._bounds
+        mask = P._mask & ~(1 << p)
+        if (self._coatom_mask | 1 << top) >> p & 1:
+            return Lattice(P._view(mask), (bottom, bottom if p == top else top))
+        atoms, down, base = self._atom_mask & ~(1 << p), P._down, 1 << bottom
+        for u in _bits(P._upper_covers(p, mask)):
+            if down[u] & mask == base | 1 << u:
+                atoms |= 1 << u
+        return Lattice.__new__(Lattice)._init(
+            P._view(mask), bottom, top, atoms, self._coatom_mask)
 
     def dual(self):
         """Order reversed: bottom/top, meet/join, atoms/coatoms all swap."""
-        view = Lattice.__new__(Lattice)
-        view.poset = self.poset.dual()
-        view.bottom, view.top = self.top, self.bottom
-        view.atoms, view.coatoms = self.coatoms, self.atoms
-        view._atom_mask, view._coatom_mask = self._coatom_mask, self._atom_mask
+        bottom, top = self._bounds
+        view = Lattice.__new__(Lattice)._init(
+            self.poset.dual(), top, bottom, self._coatom_mask, self._atom_mask)
+        view._atoms, view._coatoms = self._coatoms, self._atoms
         return view
 
     def comparability_components(self):
@@ -437,9 +512,15 @@ class Lattice:
 
         Returned as frozensets ordered by their canonically-first member.
         """
+        label = self.poset._label
+        return tuple(frozenset(map(label.__getitem__, _bits(comp)))
+                     for comp in self._components())
+
+    def _components(self):
+        """``comparability_components`` as masks."""
         P = self.poset
         up, down = P._up, P._down
-        rest = P._mask & ~(1 << P._at(self.bottom)) & ~(1 << P._at(self.top))
+        rest = self._interior_mask()
         comps = []
         for p in P._sorted(rest):
             if not rest >> p & 1:
@@ -452,8 +533,8 @@ class Lattice:
                     reach |= up[q] | down[q]
                 frontier = reach & rest & ~comp
             rest &= ~comp
-            comps.append(frozenset(P._label[q] for q in _bits(comp)))
-        return tuple(comps)
+            comps.append(comp)
+        return comps
 
     def interior_set(self, members=None):
         """The interior, or its subset ``members``, as a view of the poset."""

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from dataclasses import fields
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +36,7 @@ from nonevade.errors import (
     UnknownElement,
     VerificationFailed,
 )
-from nonevade.lattice import generate, parse_lattice
+from nonevade.lattice import Lattice, Poset, generate, parse_lattice
 
 
 @pytest.fixture
@@ -621,6 +622,16 @@ def test_certificate_from_obj_rejects_garbage():
             certificate_from_obj(obj)
 
 
+def test_certificate_from_obj_names_a_missing_child():
+    leaf = {"type": "leaf", "vertex": "b"}
+    split = {"type": "split", "vertex": "a", "mode": "case1_atom", "z": "b",
+             "dl": leaf}
+    with pytest.raises(ParseError, match="bad certificate node: 'lk' is missing"):
+        certificate_from_obj(split)
+    with pytest.raises(ParseError, match="bad certificate node: 'child' is missing"):
+        certificate_from_obj({"type": "prune", "removed": ["a"]})
+
+
 def test_certificate_ground(d12):
     cert, _ = certify(d12, "2")
     assert certificate_ground(cert) == frozenset({"2", "3", "4", "6"})
@@ -676,7 +687,8 @@ def test_audit_reports_unusable_steps_instead_of_raising(d12):
     not_a_coatom = Split(cert.vertex, "case1_coatom", cert.link_element,
                          cert.dl, cert.lk)
     unknown = Split("9", cert.mode, cert.link_element, cert.dl, cert.lk)
-    for tampered in (not_a_coatom, unknown):
+    not_a_label = Split(["3"], cert.mode, cert.link_element, cert.dl, cert.lk)
+    for tampered in (not_a_coatom, unknown, not_a_label):
         report = audit_certificate(d12, "2", tampered)
         assert not report.ok
         assert "split vertex" in report.failures[0]
@@ -695,9 +707,16 @@ def test_audit_flags_wrong_link_element(d12):
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=20_000))
-def test_certify_verify_audit_random(seed):
+@given(seed=st.integers(min_value=0, max_value=20_000),
+       shuffle=st.none() | st.integers(min_value=0, max_value=1_000))
+def test_certify_verify_audit_random(seed, shuffle):
     lat = generate("random", 7, p=0.35, seed=seed)
+    if shuffle is not None:
+        # an element order that is rarely a linear extension, so the bits
+        # and the canonical ranks disagree
+        elements = list(lat.elements)
+        Random(shuffle).shuffle(elements)
+        lat = Lattice(Poset.from_covers(elements, lat.covers()))
     for x in lat.interior():
         cert, _ = certify(lat, x)
         complex_ = certificate_complex(lat, x)

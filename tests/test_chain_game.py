@@ -334,6 +334,12 @@ def test_strategy_from_obj_wants_string_vertices():
             strategy_from_obj(obj)
 
 
+def test_strategy_from_obj_names_a_missing_child():
+    query = {"type": "query", "vertex": "a", "yes": {"type": "answer", "chain": True}}
+    with pytest.raises(ParseError, match="bad strategy node: 'no' is missing"):
+        strategy_from_obj(query)
+
+
 def test_strategy_equality_is_structural():
     query = Query("a", Answer(True), Answer(False))
     assert query == Query("a", Answer(True), Answer(False))

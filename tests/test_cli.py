@@ -123,6 +123,19 @@ def test_verify_non_string_label_is_usage_error(capsys, d12_file, tmp_path, cert
     assert json.loads(err)["error"]["type"] == "ParseError"
 
 
+def test_verify_certificate_missing_a_child_is_usage_error(capsys, d12_file, tmp_path):
+    cert_path = tmp_path / "bad.json"
+    cert_path.write_text(json.dumps({
+        "type": "split", "vertex": "3", "mode": "case1_atom", "z": "6",
+        "dl": {"type": "leaf", "vertex": "2"}}))
+    code, out, err = run(capsys, "verify", d12_file, "-x", "2", "--json",
+                         "--cert", str(cert_path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "ParseError", "message": "bad certificate node: 'lk' is missing"}
+
+
 def test_certificate_file_byte_stable(capsys, d12_file, tmp_path):
     first = tmp_path / "one.json"
     second = tmp_path / "two.json"

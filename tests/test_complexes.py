@@ -367,17 +367,9 @@ def test_random_complexes_match_the_definitions(index, picks, shuffle):
     _check_against(c, _closure(c.facets), c.vertices, picks, Random(shuffle))
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10_000),
-       steps=st.lists(st.sampled_from(["remove_atom", "interval", "dual"]),
-                      max_size=3),
-       pick=st.integers(min_value=0, max_value=1_000),
-       picks=_PICKS, shuffle=st.integers(min_value=0, max_value=1_000))
-def test_order_complexes_of_views_match_the_definitions(seed, steps, pick, picks,
-                                                         shuffle):
-    # the certified complexes of sublattice views, as certify and the audit
-    # build them, against maximal chains found by brute force
-    (_, root), = random_corpus(count=1, seed_start=seed)
+def _view_after(root, steps, pick):
+    """The view that deletions, intervals [atom, top] and duals, as certify
+    and the audit take them, make of ``root``."""
     lat = root
     for step in steps:
         if len(lat.interior()) < 2:
@@ -388,6 +380,22 @@ def test_order_complexes_of_views_match_the_definitions(seed, steps, pick, picks
             lat = lat.remove_atom(lat.atoms[pick % len(lat.atoms)])
         else:
             lat = lat.interval(lat.atoms[pick % len(lat.atoms)], lat.top)
+    return lat
+
+
+_VIEW_STEPS = st.lists(st.sampled_from(["remove_atom", "interval", "dual"]), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), steps=_VIEW_STEPS,
+       pick=st.integers(min_value=0, max_value=1_000),
+       picks=_PICKS, shuffle=st.integers(min_value=0, max_value=1_000))
+def test_order_complexes_of_views_match_the_definitions(seed, steps, pick, picks,
+                                                         shuffle):
+    # the certified complexes of sublattice views, as certify and the audit
+    # build them, against maximal chains found by brute force
+    (_, root), = random_corpus(count=1, seed_start=seed)
+    lat = _view_after(root, steps, pick)
     if not lat.interior():
         return
     x = lat.interior()[pick % len(lat.interior())]
@@ -398,3 +406,32 @@ def test_order_complexes_of_views_match_the_definitions(seed, steps, pick, picks
     _check_against(c, _chains(members, lat.leq), members, picks, Random(shuffle))
     # every complex of one root shares its vertex ground
     assert order_complex(root.interior_set(members)) == c
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), steps=_VIEW_STEPS,
+       pick=st.integers(min_value=0, max_value=1_000))
+def test_link_and_deletion_are_order_complexes_of_masks(seed, steps, pick):
+    # the identities the audit compares vertex masks by: in the order
+    # complex of a member set c of one root, deleting y leaves the order
+    # complex of c - y, and the link of y is the order complex of the
+    # members of c comparable to y
+    (_, root), = random_corpus(count=1, seed_start=seed)
+    lat = _view_after(root, steps, pick)
+    P = lat.poset
+    for x in lat.interior():
+        c = certificate_complex(lat, x)
+        for y in c.vertices:
+            p = P._pos[y]
+            rest = c._vmask & ~(1 << p)
+            if rest:
+                assert c.deletion(y) == order_complex(P._view(rest))
+            else:
+                with pytest.raises(LastVertex):
+                    c.deletion(y)
+            near = rest & (P._up[p] | P._down[p])
+            if near:
+                assert c.link(y) == order_complex(P._view(near))
+            else:
+                with pytest.raises(EmptyLink):
+                    c.link(y)

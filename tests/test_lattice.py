@@ -1,4 +1,5 @@
 import math
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from nonevade.errors import (
     UnknownElement,
     UnknownFamily,
 )
-from nonevade.corpus import BOWTIE_TEXT, M3_TEXT, N5_TEXT, named_corpus
+from nonevade.corpus import BOWTIE_TEXT, M3_TEXT, N5_TEXT, named_corpus, random_corpus
 from nonevade.lattice import (
     Lattice,
     Poset,
@@ -483,6 +484,48 @@ def test_nested_views_match_rebuilt_lattices(seed, named, steps):
             if lat is None:
                 break
         _assert_matches_rebuilt(lat)
+
+
+def _assert_masks_match_a_rescan(lat):
+    # the atoms and coatoms a view derived from its parent's, against a
+    # fresh scan of every member of the same view
+    P = lat.poset
+    fresh = Lattice(P, lat._bounds)
+    assert (lat._atom_mask, lat._coatom_mask) == (fresh._atom_mask, fresh._coatom_mask)
+    assert (lat.atoms, lat.coatoms) == (fresh.atoms, fresh.coatoms)
+    for mask in (lat._atom_mask, lat._coatom_mask, P._mask):
+        if mask:
+            assert P._first(mask) == P._sorted(mask)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       shuffle=st.none() | st.integers(min_value=0, max_value=1_000),
+       steps=st.lists(st.tuples(st.sampled_from(["remove_atom", "interval", "dual"]),
+                                st.integers(min_value=0, max_value=1_000),
+                                st.booleans()), max_size=8))
+def test_derived_atoms_and_coatoms_match_a_rescan(seed, shuffle, steps):
+    # chains of the steps certify and the audit take, on random roots; a
+    # shuffled element order is rarely a linear extension, so bits and
+    # canonical ranks then disagree
+    (_, lat), = random_corpus(count=1, seed_start=seed)
+    if shuffle is not None:
+        elements = list(lat.elements)
+        Random(shuffle).shuffle(elements)
+        lat = Lattice(Poset.from_covers(elements, lat.covers()))
+    _assert_masks_match_a_rescan(lat)
+    for op, i, to_top in steps:
+        if op == "dual":
+            lat = lat.dual()
+        elif op == "remove_atom":
+            if not lat.atoms:
+                break
+            lat = lat.remove_atom(lat.atoms[i % len(lat.atoms)])
+        else:
+            u = lat.elements[i % len(lat)]
+            uppers = lat.poset.above(u, strict=False)
+            lat = lat.interval(u, lat.top if to_top else uppers[i % len(uppers)])
+        _assert_masks_match_a_rescan(lat)
 
 
 def _restrict_as_rebuilt(lat, members):
