@@ -47,7 +47,7 @@ class Complex:
     """
 
     __slots__ = ("_label", "_pos", "_rank", "_vmask", "_facets", "_vertices",
-                 "_facet_sets", "_face_masks", "_faces")
+                 "_facet_sets", "_face_masks")
 
     def __init__(self, vertices, faces):
         vertices = tuple(vertices)
@@ -83,7 +83,7 @@ class Complex:
     def _init(self, label, pos, rank, vmask, facets):
         self._label, self._pos, self._rank = label, pos, rank
         self._vmask, self._facets = vmask, facets
-        self._vertices = self._facet_sets = self._face_masks = self._faces = None
+        self._vertices = self._facet_sets = self._face_masks = None
 
     def _derive(self, vmask, facets):
         """A complex on the same ground."""
@@ -143,16 +143,6 @@ class Complex:
                     s = (s - 1) & f
             self._face_masks = frozenset(faces)
         return self._face_masks
-
-    def all_faces(self):
-        """Every nonempty face, as a frozenset of frozensets (cached)."""
-        if self._faces is None:
-            label = self._label
-            self._faces = frozenset(
-                frozenset(map(label.__getitem__, _bits(s)))
-                for s in self._face_mask_set()
-            )
-        return self._faces
 
     def face_count(self):
         return len(self._face_mask_set())

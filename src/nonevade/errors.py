@@ -27,19 +27,21 @@ class NoUniqueTop(NonevadeError):
 
 
 class NotALattice(NonevadeError):
-    """Some pair of elements has no unique meet or join.
+    """Some pair of elements has no unique meet.
 
-    ``kind`` is "meet" or "join"; ``witnesses`` holds the offending
-    maximal lower bounds (resp. minimal upper bounds).
+    Only meets are checked, since a finite poset with a top and every meet
+    is a lattice, so ``kind`` is always "meet"; ``witnesses`` holds the
+    maximal common lower bounds of ``left`` and ``right``.
     """
 
-    def __init__(self, kind, left, right, witnesses):
-        self.kind = kind
+    kind = "meet"
+
+    def __init__(self, left, right, witnesses):
         self.left = left
         self.right = right
         self.witnesses = tuple(witnesses)
         super().__init__(
-            f"no unique {kind} for {left!r} and {right!r}: candidates {sorted(self.witnesses)}"
+            f"no unique meet for {left!r} and {right!r}: candidates {sorted(self.witnesses)}"
         )
 
 

@@ -34,6 +34,11 @@ def hollow_triangle():
     return Complex("abc", [{"a", "b"}, {"a", "c"}, {"b", "c"}])
 
 
+def _faces(c):
+    """Every nonempty face of c as a label set, read off its face masks."""
+    return {frozenset(c._labels(m)) for m in c._face_mask_set()}
+
+
 # --- construction ----------------------------------------------------------------
 
 
@@ -111,7 +116,7 @@ def test_order_complex_takes_poset_views_only():
     # a dual view walks its chains in the reversed order
     dual = order_complex(d12.dual().interior_set())
     assert dual == order_complex(d12.interior_set())
-    c = order_complex(d12.interior_set(["2", "3", "6"]))
+    c = order_complex(d12.poset.restrict(["2", "3", "6"]))
     assert c.facets == frozenset({frozenset({"2", "6"}), frozenset({"3", "6"})})
 
 
@@ -126,7 +131,7 @@ def test_order_complex_of_a_deep_chain_is_one_simplex():
 def test_order_complex_faces_are_chains():
     lat = generate("boolean", 3)
     c = order_complex(lat.interior_set())
-    for face in c.all_faces():
+    for face in _faces(c):
         members = sorted(face)
         for u, v in combinations(members, 2):
             assert lat.leq(u, v) or lat.leq(v, u)
@@ -188,9 +193,9 @@ def test_link_deletion_partition_faces():
         except EmptyLink:
             continue
         dl = c.deletion(v)
-        with_v = {f for f in c.all_faces() if v in f and len(f) > 1}
-        assert {f - {v} for f in with_v} == set(lk.all_faces())
-        assert {f for f in c.all_faces() if v not in f} == set(dl.all_faces())
+        with_v = {f for f in _faces(c) if v in f and len(f) > 1}
+        assert {f - {v} for f in with_v} == _faces(lk)
+        assert {f for f in _faces(c) if v not in f} == _faces(dl)
 
 
 # --- Euler characteristics ----------------------------------------------------------
@@ -287,9 +292,9 @@ def test_atom_link_identity_random(seed):
         above = [w for w in interior if lat.leq(y, w) and w != y]
         below_free = [w for w in interior if w != y]
         if above:
-            assert order_complex(lat.interior_set(above)) == whole.link(y)
+            assert order_complex(lat.poset.restrict(above)) == whole.link(y)
         if below_free:
-            assert order_complex(lat.interior_set(below_free)) == whole.deletion(y)
+            assert order_complex(lat.poset.restrict(below_free)) == whole.deletion(y)
 
 
 # --- the mask representation against the definitions ------------------------------
@@ -319,7 +324,7 @@ def _check_against(c, faces, vertices, picks, rng):
     vertex order ``vertices``, then its links and deletions chosen by
     ``picks`` against their definitions on the reference."""
     assert c.vertices == vertices
-    assert c.all_faces() == frozenset(faces)
+    assert _faces(c) == set(faces)
     assert c.facets == frozenset(f for f in faces if not any(f < g for g in faces))
     assert c.face_count() == len(faces)
     assert c.reduced_euler() == sum(1 if len(f) % 2 else -1 for f in faces) - 1
@@ -405,7 +410,7 @@ def test_order_complexes_of_views_match_the_definitions(seed, steps, pick, picks
     c = certificate_complex(lat, x)
     _check_against(c, _chains(members, lat.leq), members, picks, Random(shuffle))
     # every complex of one root shares its vertex ground
-    assert order_complex(root.interior_set(members)) == c
+    assert order_complex(root.poset.restrict(members)) == c
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from random import Random
 
@@ -6,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from nonevade.errors import (
     CycleDetected,
-    ElementOnBoundary,
     NoUniqueBottom,
     NoUniqueTop,
     NotALattice,
@@ -71,12 +71,15 @@ def test_parse_three_chain():
 
 
 def test_parse_bowtie_reports_join_witnesses():
+    # only meets are checked, so the first pair named is c and d, whose
+    # maximal common lower bounds a and b witness the missing join of a and b
     with pytest.raises(NotALattice) as err:
         parse_lattice(BOWTIE_TEXT)
     exc = err.value
-    assert exc.kind == "join"
-    assert (exc.left, exc.right) == ("a", "b")
-    assert set(exc.witnesses) == {"c", "d"}
+    assert exc.kind == "meet"
+    assert (exc.left, exc.right) == ("c", "d")
+    assert exc.witnesses == ("a", "b")
+    assert str(exc) == "no unique meet for 'c' and 'd': candidates ['a', 'b']"
 
 
 def test_parse_json_document(d12):
@@ -135,6 +138,62 @@ def test_accepted_labels_round_trip_both_formats(labels):
     chain = Lattice(Poset.from_covers(labels, zip(labels, labels[1:])))
     for as_json in (False, True):
         assert parse_lattice(format_lattice(chain, as_json=as_json)) == chain
+
+
+# --- recognition against the definition --------------------------------------
+
+
+def _brute_meet(members, leq, u, v):
+    """The meet of u and v among ``members`` under ``leq``, by brute force,
+    or the tuple of their maximal common lower bounds when it is not unique."""
+    common = [w for w in members if leq(w, u) and leq(w, v)]
+    tops = tuple(w for w in common if not any(w != z and leq(w, z) for z in common))
+    return tops[0] if len(tops) == 1 else tops
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       shuffle=st.none() | st.integers(min_value=0, max_value=1_000), dual=st.booleans())
+def test_recognition_matches_the_definition(seed, shuffle, dual):
+    # a random bounded poset: 0 < every middle element < 1, plus random
+    # relations among the middle ones closed by hand; restrict then drops
+    # ``extra`` middle elements, leaving 3-10 members
+    rng = Random(seed)
+    size, extra, p = rng.randint(3, 10), rng.randint(0, 4), rng.choice([0.35, 0.5])
+    mids = [f"m{i}" for i in range(size - 2 + extra)]
+    less = {(u, v) for i, u in enumerate(mids) for v in mids[i + 1:] if rng.random() < p}
+    for w in mids:
+        less |= {(u, v) for u, x in less if x == w for y, v in less if y == w}
+    less |= {("0", w) for w in mids} | {(w, "1") for w in mids} | {("0", "1")}
+    elements = ["0", *mids, "1"]
+    if shuffle is not None:
+        Random(shuffle).shuffle(elements)
+    dropped = set(rng.sample(mids, extra))
+    members = [e for e in elements if e not in dropped]
+    root = Poset.from_covers(elements, less)
+    view = (root.dual() if dual else root).restrict(members)
+
+    def leq(u, v):
+        return u == v or ((v, u) if dual else (u, v)) in less
+
+    def geq(u, v):
+        return leq(v, u)
+
+    pairs = [(u, v) for i, u in enumerate(members) for v in members[i + 1:]]
+    meets = {uv: _brute_meet(members, leq, *uv) for uv in pairs}
+    joins = {uv: _brute_meet(members, geq, *uv) for uv in pairs}
+    missing = [uv for uv in pairs if isinstance(meets[uv], tuple)]
+    is_lattice = not missing and not any(isinstance(j, tuple) for j in joins.values())
+    try:
+        lat = Lattice(view)
+    except NotALattice as exc:
+        assert not is_lattice
+        assert (exc.left, exc.right) == missing[0]
+        assert exc.witnesses == meets[missing[0]]
+        return
+    assert is_lattice
+    for (u, v), w in meets.items():
+        assert lat.meet(u, v) == w and lat.join(u, v) == joins[u, v]
 
 
 # --- complements --------------------------------------------------------------
@@ -327,6 +386,21 @@ def test_generate_divisor_12(d12):
     assert generate("divisor", 12) == d12
 
 
+def test_generate_divisor_is_unchanged_and_capped():
+    # the divisors come from trial division up to sqrt(n); the text of the
+    # two big validate roots is pinned as the full scan up to n built it
+    for n, digest in (
+        (720720, "8725306ef673c1e1863cac7909b3112572c96d439140615d156cf75d36be4aba"),
+        (510510, "ad8f59a244b200a79950cf505734d1368cff676e5262b8298bd48575bc1e5b61"),
+    ):
+        lat = generate("divisor", n)
+        assert lat.elements == tuple(str(d) for d in range(1, n + 1) if n % d == 0)
+        assert hashlib.sha256(format_lattice(lat).encode()).hexdigest() == digest
+    assert len(generate("divisor", 10 ** 9)) == 100
+    with pytest.raises(ParamOutOfRange, match="capped at n = 1000000000"):
+        generate("divisor", 10 ** 9 + 1)
+
+
 def test_generate_partition_sizes():
     assert len(generate("partition", 3)) == 5
     assert len(generate("partition", 4)) == 15
@@ -486,13 +560,22 @@ def test_nested_views_match_rebuilt_lattices(seed, named, steps):
         _assert_matches_rebuilt(lat)
 
 
+def _covers_by_scan(elements, leq, v):
+    """The members of ``elements`` covering v under ``leq``, in order."""
+    return tuple(e for e in elements if e != v and leq(v, e) and not any(
+        w not in (v, e) and leq(v, w) and leq(w, e) for w in elements))
+
+
 def _assert_masks_match_a_rescan(lat):
-    # the atoms and coatoms a view derived from its parent's, against a
-    # fresh scan of every member of the same view
-    P = lat.poset
-    fresh = Lattice(P, lat._bounds)
-    assert (lat._atom_mask, lat._coatom_mask) == (fresh._atom_mask, fresh._coatom_mask)
-    assert (lat.atoms, lat.coatoms) == (fresh.atoms, fresh.coatoms)
+    # the atoms and coatoms a view derived from its parent's or walked from
+    # its bounds, against a scan of every member of the same view by the
+    # definition of a cover
+    P, elements = lat.poset, lat.elements
+    atoms = _covers_by_scan(elements, lat.leq, lat.bottom)
+    coatoms = _covers_by_scan(elements, lambda u, v: lat.leq(v, u), lat.top)
+    assert (lat.atoms, lat.coatoms) == (atoms, coatoms)
+    assert lat._atom_mask == sum(1 << P._pos[e] for e in atoms)
+    assert lat._coatom_mask == sum(1 << P._pos[e] for e in coatoms)
     for mask in (lat._atom_mask, lat._coatom_mask, P._mask):
         if mask:
             assert P._first(mask) == P._sorted(mask)[0]
@@ -555,15 +638,16 @@ def test_restrict_matches_rebuilt_on_every_single_deletion():
 
 
 def test_restrict_to_a_non_lattice_names_the_first_pair():
-    # without ab, the atoms a and b have two minimal upper bounds
+    # without ab, abc and abd have two maximal common lower bounds, a and
+    # b; on the dual, a and b are the first pair without a meet
     b4 = generate("boolean", 4)
     members = [e for e in b4.elements if e != "ab"]
-    for view, kind in ((b4, "join"), (b4.interval("0", "1").dual(), "meet")):
+    for view, pair, wits in ((b4, ("abc", "abd"), ("a", "b")),
+                             (b4.interval("0", "1").dual(), ("a", "b"), ("abc", "abd"))):
         with pytest.raises(NotALattice) as err:
             view.restrict(members)
         exc = err.value
-        assert (exc.kind, exc.left, exc.right) == (kind, "a", "b")
-        assert exc.witnesses == ("abc", "abd")
+        assert (exc.kind, (exc.left, exc.right), exc.witnesses) == ("meet", pair, wits)
 
 
 # --- Crapo's complementation theorem -----------------------------------------------
@@ -610,14 +694,13 @@ def test_crapo_complementation_random_and_views(seed):
 # --- interior sets -----------------------------------------------------------------
 
 
-def test_interior_set_normalises_and_validates(d12):
-    interior = d12.interior_set(["6", "2", "6"])
-    assert isinstance(interior, Poset) and interior.elements == ("2", "6")
-    assert d12.interior_set().elements == ("2", "3", "4", "6")
-    with pytest.raises(ElementOnBoundary, match="'1' is a bound"):
-        d12.interior_set(("2", "1"))
+def test_interior_set_and_restrict_give_poset_views(d12):
+    interior = d12.interior_set()
+    assert isinstance(interior, Poset) and interior.elements == ("2", "3", "4", "6")
+    assert d12.dual().interior_set().elements == interior.elements
+    assert d12.poset.restrict(["6", "2", "6"]).elements == ("2", "6")
     with pytest.raises(UnknownElement):
-        d12.interior_set(("1", "9"))
+        d12.poset.restrict(("1", "9"))
 
 
 def test_product_standalone(d12):
