@@ -277,8 +277,9 @@ def _iterative(step, key=None):
     With ``key``, one run keeps each call's result under ``key(arg)`` and
     answers a later call with an equal key from it instead of stepping
     again.  This serves the recursions whose key carries context besides
-    a node (a lattice view, a complex) and the parsers, whose input is a
-    tree; a walk keyed on the node alone is a ``_fold``."""
+    a node (a lattice view, a complex), the brute-force searches of
+    ``oracles`` and the parsers, whose input is a tree; a walk keyed on
+    the node alone is a ``_fold``."""
     @wraps(step)
     def run(arg):
         # keys runs parallel to stack; the first call is never looked up

@@ -35,7 +35,7 @@ from .errors import (
 MAX_ELEMENTS = 1 << 16
 
 #: Largest n whose divisor lattice ``generate`` builds.  The worst case
-#: below it, 735,134,400 with 1,344 divisors, builds in about 0.4 s
+#: below it, 735,134,400 with 1,344 divisors, builds in about 0.35 s
 #: (CPython 3.11, one core of a shared 2-core machine).
 MAX_DIVISOR_N = 10 ** 9
 
@@ -664,21 +664,16 @@ def dedekind_macneille(poset):
 
 
 def product_lattice(left, right):
-    """Direct product; element (a, b) is labelled "a*b", left factor major."""
+    """Direct product; element (a, b) is labelled "a*b", left factor major.
+    (a, b) is covered by (c, b) for each cover a < c of the left factor and
+    by (a, d) for each cover b < d of the right one."""
     n, m = len(left), len(right)
     if n * m > MAX_ELEMENTS:
         raise ParamOutOfRange(f"product has {n * m} elements, cap is {MAX_ELEMENTS}")
     labels = [f"{a}*{b}" for a in left.elements for b in right.elements]
-    left_up, right_up = left.poset._relation(), right.poset._relation()
-    up = []
-    for i in range(n):
-        for j in range(m):
-            mask = 0
-            for i2 in _bits(left_up[i]):
-                for j2 in _bits(right_up[j]):
-                    mask |= 1 << (i2 * m + j2)
-            up.append(mask)
-    return Lattice(Poset(labels, up, _validate=False))
+    covers = [(f"{a}*{b}", f"{c}*{b}") for a, c in left.covers() for b in right.elements]
+    covers += [(f"{a}*{b}", f"{a}*{d}") for a in left.elements for b, d in right.covers()]
+    return Lattice(Poset.from_covers(labels, covers))
 
 
 def _interior_labels(count):
@@ -701,55 +696,39 @@ def _gen_chain(n):
 
 
 def _gen_boolean(n):
+    """Subsets of the first n letters; s is covered by s with one more letter."""
     if n < 0:
         raise ParamOutOfRange("boolean rank must be nonnegative")
     if n > 16:
         raise ParamOutOfRange("boolean rank capped at 16 (2^16 elements)")
     letters = string.ascii_lowercase[:n]
-    subsets = sorted(range(1 << n), key=lambda s: (s.bit_count(), _subset_word(s, letters)))
-    full = (1 << n) - 1
-
-    def label(s):
-        if s == 0:
-            return "0"
-        if s == full and n > 0:
-            return "1"
-        return _subset_word(s, letters)
-
-    index = {s: k for k, s in enumerate(subsets)}
-    up = []
-    for s in subsets:
-        mask = 0
-        t = s
-        while True:
-            mask |= 1 << index[t]
-            if t == full:
-                break
-            t = (t + 1) | s
-        up.append(mask)
-    return Lattice(Poset([label(s) for s in subsets], up, _validate=False))
-
-
-def _subset_word(s, letters):
-    return "".join(letters[i] for i in _bits(s))
+    label = ["".join(letters[i] for i in _bits(s)) for s in range(1 << n)]
+    label[0] = "0"
+    if n > 0:
+        label[-1] = "1"
+    # "0" and "1" are alone in their ranks, so sorting by label is by word
+    subsets = sorted(range(1 << n), key=lambda s: (s.bit_count(), label[s]))
+    covers = [(label[s], label[s | 1 << i]) for s in subsets for i in range(n)
+              if not s >> i & 1]
+    return Lattice(Poset.from_covers([label[s] for s in subsets], covers))
 
 
 def _gen_divisor(n):
+    """Divisors of n, ascending; d is covered by d * p for each prime p of n
+    with d * p dividing n."""
     if n < 1:
         raise ParamOutOfRange("divisor lattice needs n >= 1")
     if n > MAX_DIVISOR_N:
         raise ParamOutOfRange(f"divisor lattice capped at n = {MAX_DIVISOR_N}")
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     divisors = small + [n // d for d in reversed(small) if d * d != n]
-    labels = [str(d) for d in divisors]
-    up = []
-    for d in divisors:
-        mask = 0
-        for j, e in enumerate(divisors):
-            if e % d == 0:
-                mask |= 1 << j
-        up.append(mask)
-    return Lattice(Poset(labels, up, _validate=False))
+    # a divisor is prime when no smaller prime of n divides it
+    primes = []
+    for d in divisors[1:]:
+        if all(d % p for p in primes):
+            primes.append(d)
+    covers = [(str(d), str(d * p)) for d in divisors for p in primes if n % (d * p) == 0]
+    return Lattice(Poset.from_covers([str(d) for d in divisors], covers))
 
 
 def _set_partitions(n):
@@ -773,6 +752,8 @@ def _set_partitions(n):
 
 
 def _gen_partition(n):
+    """Set partitions of {1..n} under refinement; a partition is covered by
+    each one with two of its blocks merged."""
     if n < 1:
         raise ParamOutOfRange("partition lattice needs n >= 1")
     if n > 9:
@@ -788,22 +769,13 @@ def _gen_partition(n):
     decorated = sorted(
         (n - len(blocks), label(blocks), blocks) for blocks in parts
     )
-    labels = [lab for _, lab, _ in decorated]
-    blocksets = [
-        [frozenset(b) for b in blocks] for _, _, blocks in decorated
+    covers = [
+        (lab, label(blocks[:i] + blocks[i + 1:j] + blocks[j + 1:]
+                    + [sorted(blocks[i] + blocks[j])]))
+        for _, lab, blocks in decorated
+        for j in range(len(blocks)) for i in range(j)
     ]
-
-    def finer(a, b):
-        return all(any(blk <= other for other in b) for blk in a)
-
-    up = []
-    for a in blocksets:
-        mask = 0
-        for j, b in enumerate(blocksets):
-            if finer(a, b):
-                mask |= 1 << j
-        up.append(mask)
-    return Lattice(Poset(labels, up, _validate=True))
+    return Lattice(Poset.from_covers([lab for _, lab, _ in decorated], covers))
 
 
 def _gen_random(n, edge_probability, seed):

@@ -8,6 +8,8 @@ per-call unless the caller passes one in to share across a batch.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .certify import Leaf, Split, _iterative
 from .errors import CapExceeded, EmptyLink
 from .complexes import CollapsePair, CollapseSequence
@@ -47,20 +49,21 @@ def brute_certificate(complex_, cap=NONEVASIVE_CAP, memo=None):
         )
     if memo is None:
         memo = {}
-    # every link and deletion shares the ground of complex_, so within one
-    # call a subcomplex is known by its masks and memo_key is built once
-    return _brute_cert(complex_, memo, {})
+    return _brute_cert((complex_, memo))
 
 
-def _brute_cert(c, memo, seen):
-    masks = (c._vmask, c._facets)
-    if masks in seen:
-        return seen[masks]
+# every link and deletion shares the ground of the complex searched, so
+# within one search a subcomplex is known by its masks, and memo_key is
+# built once per subcomplex
+@partial(_iterative, key=lambda args: (args[0]._vmask, args[0]._facets))
+def _brute_cert(args):
+    """The search step on (complex, memo); a recursive call yields the
+    deletion or the link with the same memo."""
+    c, memo = args
     if len(c.vertices) == 1:
         return Leaf(c.vertices[0])
     key = memo_key(c)
     if key in memo:
-        seen[masks] = memo[key]
         return memo[key]
     found = None
     for v in c.vertices:
@@ -68,15 +71,15 @@ def _brute_cert(c, memo, seen):
             lk = c.link(v)
         except EmptyLink:
             continue
-        dl_cert = _brute_cert(c.deletion(v), memo, seen)
+        dl_cert = yield c.deletion(v), memo
         if dl_cert is None:
             continue
-        lk_cert = _brute_cert(lk, memo, seen)
+        lk_cert = yield lk, memo
         if lk_cert is None:
             continue
         found = Split(v, "case2_atom", v, dl_cert, lk_cert)
         break
-    memo[key] = seen[masks] = found
+    memo[key] = found
     return found
 
 
@@ -109,14 +112,12 @@ def brute_collapsible(complex_, face_cap=COLLAPSE_FACE_CAP):
         if f & (f - 1):
             for p in _bits(f):
                 cofaces[index[f ^ 1 << p]] |= 1 << i
-    dead_ends = set()
-
-    @_iterative
+    # a state met again is answered from the key memo: the search stops at
+    # the first success, so only dead ends are ever looked up
+    @partial(_iterative, key=lambda state: state)
     def search(state):
         if not state & (state - 1):
             return [] if order[state.bit_length() - 1].bit_count() == 1 else None
-        if state in dead_ends:
-            return None
         rest = state
         while rest:
             free = rest & -rest
@@ -127,7 +128,6 @@ def brute_collapsible(complex_, face_cap=COLLAPSE_FACE_CAP):
             tail = yield state ^ free ^ up
             if tail is not None:
                 return [(free, up)] + tail
-        dead_ends.add(state)
         return None
 
     # the search keeps its own stack: each collapse step is one level
@@ -167,7 +167,7 @@ def _refuse_over_cap(complex_, face_cap):
 def mobius(lattice):
     """Möbius value between bottom and top, by the standard recursion."""
     values = {}
-    below = lattice.poset.below
+    below = lattice.poset.dual().above
     for e in lattice.poset.linear_extension():
         if e == lattice.bottom:
             values[e] = 1

@@ -401,6 +401,51 @@ def test_generate_divisor_is_unchanged_and_capped():
         generate("divisor", 10 ** 9 + 1)
 
 
+# sha256 of the text form followed by the JSON form of each generated family,
+# taken from generators that wrote out every up-set in full
+FAMILY_DIGESTS = {
+    "boolean:0": "db877170bb7315d83f1071181494cf85ae1a5390a82a55f54cc544afe996be90",
+    "boolean:1": "ae3c61cb50e7aff38ef097b7dbf409a3b3cdc331e0107a56a2da2fec22fc8012",
+    "boolean:2": "28946be62d0e0bd0f66825de14a26af0fa68e16ddff31c651872c681f55fd266",
+    "boolean:3": "2b26d7a893c9de0a5675af8dfdd55fa8cf6bd6637eddbfecfa6d6d37733499a4",
+    "boolean:4": "41ab6e87f987de6342594e9e7cbb9c9dc99bf1559bf0a9cc658b10f3d90d7fdf",
+    "boolean:5": "69659f1951b4b3e0995d686714c33a3988e2c520bedadc6dbca69fd6aa37dd7b",
+    "boolean:6": "e5ce5ac48c3604b80c5f9153686f0024dfc24f7c5ce4bafef19bde8f3e18bb25",
+    "boolean:7": "0d922612c24cda222b99fdddf91df923b833a79ae95ed2033cdf2cc9efa68915",
+    "boolean:8": "6eb211611c2dd3052860e04d5d89339556c9e5e7ec3fb397e577596d358743b3",
+    "boolean:9": "b79382a1cce8c01692f0930966b03d714454b116541647f4663f9c0cad4e1b7f",
+    "boolean:10": "965097a81a53b1bb38693a55c88b0a89d5c03cab39330e32133de2befeb859e7",
+    "partition:1": "36722a9de6bf9916f77b97c7290676ce75a5e02ad70c1b537e5f189e5641aed6",
+    "partition:2": "60a196e7ecb366793022f64f6a54156a57d0083acd572a2038d0391a0d2cd966",
+    "partition:3": "ae3fb35c1168a64ce1abb3938e9256fa7c67bb67fd8719d16605b5aa3edcad72",
+    "partition:4": "e738c89a5e23c231192470684be01bc330a6b510eefb1a7f6ff4085e73ad44ce",
+    "partition:5": "774083e75abd2f75838f0fb566e0fc1c72a47df5d608b2a9853b30db72adfc2f",
+    "partition:6": "83b95fb1fdf3d08d2e5b107d606cf26f14657c45f1eac522af3709a5a50f1963",
+    "partition:7": "506ea8f40cfdadbc70b83cffab4586f2a1c54fab52109fc4f25c75acf19e7a95",
+    "divisor:1": "36722a9de6bf9916f77b97c7290676ce75a5e02ad70c1b537e5f189e5641aed6",
+    "divisor:97": "3eb41cf6557449ac6c2bf5ff5f20e0dd1b44911a8580ea32ec8501cb3c901c80",
+    "divisor:1024": "4d30393a7ecad0fff19acfa5d11d93d33d3605b4cd6936ff5d27255abe5deb53",
+    "divisor:360": "f2af05ead510afac3dbf64e1d8849c602009a12e60e572cbf022eaa6cf4f24ca",
+    "divisor:735134400": "0684d69a1d6194ec75deeefc868a6f610eaa3cd16a9b6139fd72773b1d6af072",
+    "chain:3*chain:3": "0e5859f96936e334538f3db1f5b1e3e01efcebefa4f1c23b2d67f3e86a73742c",
+    "boolean:4*partition:4": "f6db723c0e2783e3a1d5a17c12a413351b93a4406110f8ebc019d50fcd576c2f",
+    "divisor:12*chain:2": "45a0584ba0d1b41d606a35a58086ff80d3c93039a65660b8644f31282fc31fff",
+    "chain:400": "074ef5f7935fb8ea3ed95f73f222a230092e37998885e52459fa501db77e576b",
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_DIGESTS)
+def test_generated_family_is_pinned(name):
+    left, star, right = name.partition("*")
+    if star:
+        lat = generate("product", left=left, right=right)
+    else:
+        family, _, n = name.partition(":")
+        lat = generate(family, int(n))
+    text = format_lattice(lat) + format_lattice(lat, as_json=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == FAMILY_DIGESTS[name]
+
+
 def test_generate_partition_sizes():
     assert len(generate("partition", 3)) == 5
     assert len(generate("partition", 4)) == 15

@@ -85,6 +85,16 @@ def test_shared_memo_is_keyed_on_labels_not_masks():
         assert len(memo) == size
 
 
+def test_certificate_search_runs_at_any_depth():
+    # each deletion of a simplex is one level deeper, 1,100 in all, past
+    # the default recursion limit; the search keeps its own stack
+    labels = [f"v{i}" for i in range(1100)]
+    simplex = Complex(labels, [set(labels)])
+    cert = brute_certificate(simplex, cap=2000)
+    assert cert is not None
+    assert verify_certificate(simplex, cert).ok
+
+
 def test_memo_key_equal_complexes():
     one = Complex(["a", "b"], [{"a", "b"}])
     two = Complex(["b", "a"], [{"b", "a"}])
