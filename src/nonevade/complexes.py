@@ -35,7 +35,7 @@ from .errors import (
     ReplayMismatch,
     UnknownVertex,
 )
-from .lattice import Poset, _bits
+from .lattice import Poset, _bits, _strings
 
 
 class Complex:
@@ -205,7 +205,15 @@ class Complex:
     def from_obj(cls, obj):
         if not isinstance(obj, dict) or "vertices" not in obj or "facets" not in obj:
             raise ParseError('complex document needs "vertices" and "facets"')
-        return cls(obj["vertices"], [frozenset(f) for f in obj["facets"]])
+        vertices, facets = obj["vertices"], obj["facets"]
+        if not _strings(vertices):
+            raise ParseError('"vertices" must be an array of strings')
+        if not (isinstance(facets, list) and all(map(_strings, facets))):
+            raise ParseError('"facets" must be an array of arrays of strings')
+        try:
+            return cls(vertices, [frozenset(f) for f in facets])
+        except ValueError as exc:
+            raise ParseError(f"bad complex document: {exc}") from None
 
 
 @dataclass(frozen=True)

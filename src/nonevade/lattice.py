@@ -16,6 +16,7 @@ import json
 import math
 import re
 import string
+from heapq import heappop, heappush
 from random import Random
 
 from .errors import (
@@ -53,6 +54,11 @@ def check_label(label):
     return label
 
 
+def _strings(obj):
+    """Whether a JSON value is an array of strings."""
+    return isinstance(obj, list) and all(isinstance(x, str) for x in obj)
+
+
 def _bits(mask):
     while mask:
         low = mask & -mask
@@ -70,66 +76,27 @@ def _index_labels(elements):
     return index
 
 
-def _check_axioms(elements, up, down):
-    for i in range(len(elements)):
-        if not up[i] & (1 << i):
-            raise ValueError(f"relation is not reflexive at {elements[i]!r}")
-        if up[i] & down[i] != 1 << i:
-            other = next(j for j in _bits(up[i] & down[i]) if j != i)
-            raise CycleDetected(
-                f"{elements[i]!r} and {elements[other]!r} are mutually comparable"
-            )
-        for j in _bits(up[i]):
-            if up[j] & ~up[i]:
-                k = next(_bits(up[j] & ~up[i]))
-                raise ValueError(
-                    "relation is not transitive: "
-                    f"{elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}"
-                )
-
-
 class Poset:
     """A finite partial order on labelled elements.
 
     Build roots with :meth:`from_covers` (transitive closure is computed,
-    cycles rejected) or from one up-mask per element over ``elements``;
-    :meth:`dual` and :meth:`restrict` return views sharing the root.
-    ``elements`` is the canonical order.
+    cycles rejected); :meth:`dual` and :meth:`restrict` return views
+    sharing the root.  ``elements`` is the canonical order.
     """
 
     __slots__ = ("_canon", "_label", "_rank", "_pos", "_up", "_down", "_mask",
                  "_rev", "_elements")
 
-    def __init__(self, elements, up_masks, _validate=True):
-        elements = tuple(elements)
-        index = _index_labels(elements)
-        n = len(elements)
-        up = tuple(up_masks)
-        if len(up) != n:
-            raise ValueError("one up-mask required per element")
-        down = [0] * n
-        for i in range(n):
-            for j in _bits(up[i]):
-                down[j] |= 1 << i
-        if _validate:
-            _check_axioms(elements, up, down)
-        # number the bits along a linear extension: the canonical order if
-        # it is one, else that order stably sorted by |down|, which
-        # strictly increases along the order
-        rank = range(n)
-        if any(up[i] & ((1 << i) - 1) for i in rank):
-            rank = tuple(sorted(rank, key=lambda i: down[i].bit_count()))
-            bit = {i: 1 << p for p, i in enumerate(rank)}
-            up = [sum([bit[j] for j in _bits(up[i])]) for i in rank]
-            down = [sum([bit[j] for j in _bits(down[i])]) for i in rank]
-            index = {elements[i]: p for p, i in enumerate(rank)}
-        self._canon, self._label = elements, tuple(elements[i] for i in rank)
-        self._up, self._down, self._rank, self._pos = tuple(up), tuple(down), rank, index
-        self._mask, self._rev, self._elements = (1 << n) - 1, False, elements
-
     @classmethod
     def from_covers(cls, elements, covers):
-        """Build a poset from cover pairs (u, v) meaning u is covered by v."""
+        """Build a poset from cover pairs (u, v) meaning u is covered by v.
+
+        The bits follow the least linear extension of the canonical order:
+        Kahn's algorithm always takes the canonically first free element, so
+        a canonical order that is a linear extension is kept as it is.
+        Down-sets close over predecessors as elements are taken, and up-sets
+        over successors from the top down.
+        """
         elements = tuple(elements)
         index = _index_labels(elements)
         n = len(elements)
@@ -142,30 +109,45 @@ class Poset:
             if u == v:
                 raise CycleDetected(f"self-cover on {u!r}")
             succ[index[u]].add(index[v])
-        # Kahn's algorithm: order then accumulate up-sets from the top down.
         indeg = [0] * n
         for i in range(n):
             for j in succ[i]:
                 indeg[j] += 1
-        queue = [i for i in range(n) if indeg[i] == 0]
-        order = []
-        while queue:
-            i = queue.pop()
-            order.append(i)
+        heap = [i for i in range(n) if indeg[i] == 0]
+        rank, down = [], [0] * n
+        while heap:
+            i = heappop(heap)
+            down[i] |= 1 << len(rank)
+            rank.append(i)
             for j in succ[i]:
+                down[j] |= down[i]
                 indeg[j] -= 1
                 if indeg[j] == 0:
-                    queue.append(j)
-        if len(order) < n:
+                    heappush(heap, j)
+        if len(rank) < n:
             stuck = [elements[i] for i in range(n) if indeg[i] > 0]
             raise CycleDetected(f"cover relation has a cycle through {sorted(stuck)}")
         up = [0] * n
-        for i in reversed(order):
-            mask = 1 << i
+        for p in reversed(range(n)):
+            i = rank[p]
+            mask = 1 << p
             for j in succ[i]:
                 mask |= up[j]
             up[i] = mask
-        return cls(elements, up, _validate=False)
+        rank = range(n) if rank == [*range(n)] else tuple(rank)
+        return cls._root(elements, rank, map(up.__getitem__, rank),
+                         map(down.__getitem__, rank))
+
+    @classmethod
+    def _root(cls, elements, rank, up, down):
+        """The root whose bit p is ``elements[rank[p]]``, with one up- and one
+        down-mask per bit; ``rank`` must list a linear extension."""
+        root = cls.__new__(cls)
+        root._canon, root._label = elements, tuple(map(elements.__getitem__, rank))
+        root._pos = {label: p for p, label in enumerate(root._label)}
+        root._up, root._down, root._rank = tuple(up), tuple(down), rank
+        root._mask, root._rev, root._elements = (1 << len(elements)) - 1, False, elements
+        return root
 
     def _view(self, mask):
         """The induced subposet on the positions in ``mask``."""
@@ -565,13 +547,13 @@ def parse_lattice(text):
             raise ParseError('JSON lattice document needs an "elements" array')
         elements = doc["elements"]
         covers = doc.get("covers", [])
-        if not isinstance(elements, list) or not all(
-            isinstance(e, str) for e in elements
-        ):
+        if not _strings(elements):
             raise ParseError('"elements" must be an array of strings')
+        if not isinstance(covers, list):
+            raise ParseError(f'bad covers {covers!r}: expected an array of ["u", "v"]')
         pairs = []
         for item in covers:
-            if not (isinstance(item, list) and len(item) == 2):
+            if not (_strings(item) and len(item) == 2):
                 raise ParseError(f'bad cover entry {item!r}: expected ["u", "v"]')
             pairs.append((item[0], item[1]))
         return Lattice(Poset.from_covers(elements, pairs))
@@ -653,14 +635,14 @@ def dedekind_macneille(poset):
     ]
     if len(set(labels)) != len(labels):
         labels = [f"c{k}" for k in range(len(cuts))]
-    up = []
-    for a in cuts:
-        mask = 0
+    # cuts grow along the list, so their order is a linear extension
+    up, down = [0] * len(cuts), [0] * len(cuts)
+    for i, a in enumerate(cuts):
         for j, b in enumerate(cuts):
             if a & ~b == 0:
-                mask |= 1 << j
-        up.append(mask)
-    return Lattice(Poset(labels, up, _validate=False))
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    return Lattice(Poset._root(tuple(labels), range(len(cuts)), up, down))
 
 
 def product_lattice(left, right):
@@ -785,17 +767,10 @@ def _gen_random(n, edge_probability, seed):
         raise ParamOutOfRange("edge probability must be in [0, 1]")
     rng = Random(seed)
     labels = [f"p{i}" for i in range(n)]
-    up = [1 << i for i in range(n)]
-    # Sample a DAG in index order, then close transitively from the top down.
-    edges = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_probability:
-                edges[i].append(j)
-    for i in reversed(range(n)):
-        for j in edges[i]:
-            up[i] |= up[j]
-    return dedekind_macneille(Poset(labels, up, _validate=False))
+    # a DAG sampled in index order; from_covers closes it transitively
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < edge_probability]
+    return dedekind_macneille(Poset.from_covers(labels, pairs))
 
 
 def generate(family, n=None, *, p=None, seed=None, left=None, right=None):

@@ -58,6 +58,19 @@ def test_validate_bad_file_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("doc, entry", [
+    ({"elements": ["a"], "covers": 5}, "bad covers 5"),
+    ({"elements": ["a", "b"], "covers": [["a", ["b"]]]}, "bad cover entry"),
+])
+def test_validate_malformed_json_covers_usage_error(capsys, tmp_path, doc, entry):
+    path = tmp_path / "l.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path), "--json")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParseError" and error["message"].startswith(entry)
+
+
 def test_missing_file_is_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "validate", str(tmp_path / "nope.lat"))
     assert code == 2
@@ -214,6 +227,28 @@ def test_oracle_on_complex_document(capsys, tmp_path):
     code, out, _ = run(capsys, "oracle", str(path), "--complex",
                        "--check", "collapsible")
     assert code == 1
+    # a facet on an unknown vertex is a semantic failure, not a usage error
+    path.write_text(json.dumps({"vertices": ["a"], "facets": [["a", "q"]]}))
+    code, _, err = run(capsys, "oracle", str(path), "--complex",
+                       "--check", "nonevasive")
+    assert code == 1 and "UnknownVertex" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"vertices": ["a", "b"], "facets": [5]},
+    {"vertices": [["a"]], "facets": [[["a"]]]},
+    {"vertices": ["a", "a"], "facets": [["a"]]},
+    {"vertices": [], "facets": []},
+    {"vertices": ["a", "b"], "facets": [["a"]]},
+    {"vertices": "ab", "facets": ["ab"]},
+])
+def test_oracle_on_a_malformed_complex_document_is_usage_error(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "oracle", str(path), "--complex",
+                         "--check", "nonevasive", "--json")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "ParseError"
 
 
 def test_oracle_cap_flags(capsys, d12_file):

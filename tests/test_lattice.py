@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from random import Random
 
@@ -28,6 +29,7 @@ from nonevade.lattice import (
     parse_lattice,
     product_lattice,
 )
+from nonevade.oracles import mobius
 
 D12_TEXT = """\
 # divisors of 12
@@ -112,6 +114,36 @@ def test_parse_requires_unique_top():
 
 def test_round_trip_text_format(d12):
     assert parse_lattice(format_lattice(d12)) == d12
+
+
+def test_roots_come_only_from_covers():
+    with pytest.raises(TypeError):
+        Poset(["a"], [1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_from_covers_closes_unclosed_covers_over_shuffled_labels(seed):
+    # a sparse sample of pairs i < j, so mostly not transitively closed,
+    # listed in shuffled order over labels in a shuffled canonical order
+    rng = Random(seed)
+    n = rng.randint(1, 9)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    rng.shuffle(pairs)
+    elements = [f"e{i}" for i in range(n)]
+    rng.shuffle(elements)
+    root = Poset.from_covers(elements, [(f"e{i}", f"e{j}") for i, j in pairs])
+    above = [{i} | {j for a, j in pairs if a == i} for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if k in above[i]:
+                above[i] |= above[k]
+    for i in range(n):
+        for j in range(n):
+            assert root.leq(f"e{i}", f"e{j}") == (j in above[i])
+    where = {e: k for k, e in enumerate(elements)}
+    extends = all(where[f"e{i}"] < where[f"e{j}"] for i, j in pairs)
+    assert (type(root._rank) is range) == extends
 
 
 def test_bad_labels_rejected():
@@ -434,16 +466,52 @@ FAMILY_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", FAMILY_DIGESTS)
-def test_generated_family_is_pinned(name):
+def _generate_named(name):
+    """The lattice named "family:n", or "left*right" for a product."""
     left, star, right = name.partition("*")
     if star:
-        lat = generate("product", left=left, right=right)
-    else:
-        family, _, n = name.partition(":")
-        lat = generate(family, int(n))
+        return generate("product", left=left, right=right)
+    family, _, n = name.partition(":")
+    return generate(family, int(n))
+
+
+@pytest.mark.parametrize("name", FAMILY_DIGESTS)
+def test_generated_family_is_pinned(name):
+    lat = _generate_named(name)
     text = format_lattice(lat) + format_lattice(lat, as_json=True)
     assert hashlib.sha256(text.encode()).hexdigest() == FAMILY_DIGESTS[name]
+
+
+# sha256 of the outputs of each validate root parsed from text whose
+# element line and cover lines are shuffled, so its canonical order is not
+# a linear extension; taken when such roots renumbered their bits by a
+# stable sort on down-set size
+SHUFFLED_ROOT_DIGESTS = {
+    "boolean:9": "10bdd4663df11036f73e6f3c735ebceaac429cb73b4ca4ab971ac02d4b53bdd1",
+    "boolean:10": "c63a3c34fe2e330584347de69cfb177729e4aeab6626a92d5b91ddda20fbed5b",
+    "partition:6": "8139565342fb0312169194f7cc2656528ef340325d2b85d4b9c2831257a57de9",
+    "divisor:720720": "3089c0a78cf8de147c1842f96953fb0f3ee5cb03b6ffba8aa1d5547fd657125a",
+    "divisor:510510": "a07f0c11141b9cb5d2ea19192363d4c90267845fe21a4caea2727d168ce20e93",
+    "chain:400": "721367bec3897cca832e1bcdba51705a0260470ec2c0464f839bdec1a2ced2a9",
+    "boolean:4*partition:4": "17a6bf1c72f09a254291b15ef2364211159355c7574960b6a823668356e48ada",
+}
+
+
+@pytest.mark.parametrize("name", SHUFFLED_ROOT_DIGESTS)
+def test_shuffled_root_is_pinned(name):
+    lat = _generate_named(name)
+    rng = Random(name)
+    elements = list(lat.elements)
+    covers = [f"cover: {u} {v}" for u, v in lat.covers()]
+    rng.shuffle(elements)
+    rng.shuffle(covers)
+    lat = parse_lattice("\n".join(["elements: " + " ".join(elements), *covers]) + "\n")
+    assert type(lat.poset._rank) is not range
+    outputs = [format_lattice(lat), format_lattice(lat, as_json=True), lat.atoms,
+               lat.coatoms, lat.poset.linear_extension(),
+               [lat.complements(e) for e in lat.elements], mobius(lat)]
+    digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
+    assert digest == SHUFFLED_ROOT_DIGESTS[name]
 
 
 def test_generate_partition_sizes():

@@ -284,12 +284,20 @@ def test_implication_chain_on_small_corpus():
 
 
 def test_brute_certificate_agrees_with_brute_nonevasive():
+    # a nonevasive complex is collapsible, so its reduced Euler
+    # characteristic is 0; a nonzero one rules a certificate out
+    certified = nonzero = 0
     for name, c in random_complexes(count=25):
-        nev = brute_nonevasive(c)
         cert = brute_certificate(c)
-        assert (cert is not None) == nev, name
         if cert is not None:
+            certified += 1
             assert verify_certificate(c, cert).ok, name
+            assert brute_collapsible(c) is not None, name
+            assert c.reduced_euler() == 0, name
+        if c.reduced_euler() != 0:
+            nonzero += 1
+            assert cert is None, name
+    assert certified and nonzero
 
 
 def reference_certificate(c, memo):
