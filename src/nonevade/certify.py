@@ -25,7 +25,6 @@ from .errors import (
     LastVertex,
     NonevadeError,
     ParseError,
-    UnknownVertex,
     VerificationFailed,
 )
 from .lattice import Lattice, _bits
@@ -536,37 +535,36 @@ def verify_certificate(complex_, certificate):
 @partial(_iterative, key=lambda args: (id(args[1]), args[0]._vmask, args[0]._facets))
 def _verify(args):
     c, node, path = args
+    vmask = c._vmask
     if isinstance(node, Leaf):
-        if len(c.vertices) != 1:
-            return VerifyResult(
-                False, path, f"leaf against {len(c.vertices)}-vertex complex"
-            )
-        if c.vertices[0] != node.vertex:
-            return VerifyResult(
-                False, path,
-                f"leaf names {node.vertex!r} but the vertex is {c.vertices[0]!r}",
-            )
-        return VerifyResult(True)
+        vertex = c._label[vmask.bit_length() - 1]
+        if vmask & (vmask - 1):
+            reason = f"leaf against {vmask.bit_count()}-vertex complex"
+        elif vertex != node.vertex:
+            reason = f"leaf names {node.vertex!r} but the vertex is {vertex!r}"
+        else:
+            return VerifyResult(True)
+        return VerifyResult(False, path, reason)
     if isinstance(node, Prune):
-        overlap = set(node.removed) & set(c.vertices)
+        overlap = {v for v in node.removed if c._mask((v,))}
         if overlap:
             return VerifyResult(
                 False, path, f"pruned vertices {sorted(overlap)} are present"
             )
         return (yield c, node.child, path + ("child",))
     if isinstance(node, Split):
-        if node.vertex not in set(c.vertices):
+        if not c._mask((node.vertex,)):
             return VerifyResult(False, path, f"split vertex {node.vertex!r} missing")
         try:
             dl = c.deletion(node.vertex)
-        except (LastVertex, UnknownVertex) as exc:
+        except LastVertex as exc:
             return VerifyResult(False, path, f"deletion failed: {exc}")
         result = yield dl, node.dl, path + ("dl",)
         if not result.ok:
             return result
         try:
             lk = c.link(node.vertex)
-        except (EmptyLink, UnknownVertex) as exc:
+        except EmptyLink as exc:
             return VerifyResult(False, path + ("lk",), f"link failed: {exc}")
         return (yield lk, node.lk, path + ("lk",))
     return VerifyResult(False, path, f"unknown node {type(node).__name__}")

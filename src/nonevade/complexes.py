@@ -2,8 +2,9 @@
 
 A complex lives on a vertex ground: a label tuple, its label -> position
 dict and a rank per position that fixes the canonical vertex order.  Faces
-are ``int`` masks over the positions; a complex stores its vertex mask and
-the frozenset of its maximal faces (facets).  ``order_complex`` takes the
+are ``int`` masks over the positions; a complex keeps only its vertex mask
+and the frozenset of its maximal faces (facets), and ``vertices`` and
+``facets`` are label views made on each read.  ``order_complex`` takes the
 root lattice's own positions, labels and ranks as the ground, so every
 complex derived from one root (the certified complex of any sublattice
 view, and every link and deletion of it) shares that ground and equality
@@ -18,15 +19,18 @@ v stay facets and no shrunk facet f - v contains one of them (it would lie
 in f); a shrunk facet is a facet unless it lies in a kept one, and that
 is the only test made.
 
-The full face list is materialised lazily when Euler characteristics or
-collapse replays need it.  The empty face is implicit and never listed.
+The full face list is materialised and cached lazily when Euler
+characteristics, collapse replays or the collapse search need it.  The
+empty face is implicit and never listed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .errors import (
+    CapExceeded,
     EmptyInterior,
     EmptyLink,
     LastVertex,
@@ -46,8 +50,7 @@ class Complex:
     faces), and no facet may contain another.
     """
 
-    __slots__ = ("_label", "_pos", "_rank", "_vmask", "_facets", "_vertices",
-                 "_facet_sets", "_face_masks")
+    __slots__ = ("_label", "_pos", "_rank", "_vmask", "_facets", "_face_masks")
 
     def __init__(self, vertices, faces):
         vertices = tuple(vertices)
@@ -56,16 +59,14 @@ class Complex:
         pos = {v: p for p, v in enumerate(vertices)}
         if len(pos) != len(vertices):
             raise ValueError("duplicate vertex labels")
+        vmask = (1 << len(vertices)) - 1
+        self._init(vertices, pos, range(len(vertices)), vmask, None)
         masks = set()
-        for f in faces:
-            fs = frozenset(f)
-            mask = 0
-            for u in fs:
-                p = pos.get(u)
-                if p is None:
-                    bad = sorted(u for u in fs if u not in pos)
-                    raise UnknownVertex(f"face uses unknown vertices {bad}")
-                mask |= 1 << p
+        for f in map(frozenset, faces):
+            mask = self._mask(f)
+            if mask is None:
+                bad = sorted(u for u in f if u not in pos)
+                raise UnknownVertex(f"face uses unknown vertices {bad}")
             masks.add(mask)
         masks.discard(0)
         facets, covered = [], 0
@@ -73,17 +74,14 @@ class Complex:
             if all(f & ~g for g in facets):
                 facets.append(f)
                 covered |= f
-        vmask = (1 << len(vertices)) - 1
         if covered != vmask:
             missing = sorted(vertices[p] for p in _bits(vmask & ~covered))
             raise ValueError(f"vertices {missing} appear in no facet")
-        self._init(vertices, pos, range(len(vertices)), vmask, frozenset(facets))
-        self._vertices = vertices
+        self._facets = frozenset(facets)
 
     def _init(self, label, pos, rank, vmask, facets):
         self._label, self._pos, self._rank = label, pos, rank
-        self._vmask, self._facets = vmask, facets
-        self._vertices = self._facet_sets = self._face_masks = None
+        self._vmask, self._facets, self._face_masks = vmask, facets, None
 
     def _derive(self, vmask, facets):
         """A complex on the same ground."""
@@ -96,22 +94,26 @@ class Complex:
         return tuple(map(self._label.__getitem__,
                          sorted(_bits(mask), key=self._rank.__getitem__)))
 
+    def _mask(self, labels):
+        """The face mask of ``labels``, or None if one is not a vertex."""
+        mask = 0
+        for u in labels:
+            p = self._pos.get(u)
+            if p is None or not self._vmask >> p & 1:
+                return None
+            mask |= 1 << p
+        return mask
+
     # -- structure ------------------------------------------------------------
 
     @property
     def vertices(self):
-        if self._vertices is None:
-            self._vertices = self._labels(self._vmask)
-        return self._vertices
+        return self._labels(self._vmask)
 
     @property
     def facets(self):
-        if self._facet_sets is None:
-            label = self._label
-            self._facet_sets = frozenset(
-                frozenset(map(label.__getitem__, _bits(f))) for f in self._facets
-            )
-        return self._facet_sets
+        label = self._label.__getitem__
+        return frozenset(frozenset(map(label, _bits(f))) for f in self._facets)
 
     def __eq__(self, other):
         if not isinstance(other, Complex):
@@ -132,17 +134,27 @@ class Complex:
             f"{len(self._facets)} facets)"
         )
 
-    def _face_mask_set(self):
-        """Every nonempty face as a mask (cached)."""
-        if self._face_masks is None:
+    def _face_mask_set(self, cap=inf):
+        """Every nonempty face as a mask, cached once listed in full.  Over
+        ``cap`` faces raise CapExceeded, facet by facet and a facet too big
+        alone before listing it, so at most 2·cap are listed and none kept."""
+        faces = self._face_masks
+        if faces is None:
             faces = set()
             for f in self._facets:
+                if (1 << f.bit_count()) - 1 > cap:
+                    break
                 s = f
                 while s:
                     faces.add(s)
                     s = (s - 1) & f
-            self._face_masks = frozenset(faces)
-        return self._face_masks
+                if len(faces) > cap:
+                    break
+            else:
+                self._face_masks = faces = frozenset(faces)
+        if faces is not self._face_masks or len(faces) > cap:
+            raise CapExceeded(f"the complex has more than the cap of {cap} faces")
+        return faces
 
     def face_count(self):
         return len(self._face_mask_set())
@@ -306,18 +318,7 @@ def replay_collapses(complex_, sequence):
     final (single-point) complex otherwise.
     """
     faces = set(complex_._face_mask_set())
-    pos, vmask = complex_._pos, complex_._vmask
-
-    def mask(labels):
-        """The face mask of ``labels``, or None if one is not a vertex."""
-        m = 0
-        for u in labels:
-            p = pos.get(u)
-            if p is None or not vmask >> p & 1:
-                return None
-            m |= 1 << p
-        return m
-
+    mask, vmask = complex_._mask, complex_._vmask
     for index, pair in enumerate(sequence.pairs):
         free = mask(pair.free_face)
         if free is None or free not in faces:

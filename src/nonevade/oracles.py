@@ -21,10 +21,12 @@ COLLAPSE_FACE_CAP = 1 << 14
 
 def memo_key(complex_):
     """Canonical serialisation of a complex: equal complexes, equal keys."""
-    return (
-        tuple(sorted(complex_.vertices)),
-        tuple(sorted(tuple(sorted(f)) for f in complex_.facets)),
-    )
+    label = complex_._label.__getitem__
+
+    def names(mask):
+        return tuple(sorted(map(label, _bits(mask))))
+
+    return names(complex_._vmask), tuple(sorted(map(names, complex_._facets)))
 
 
 def brute_nonevasive(complex_, cap=NONEVASIVE_CAP, memo=None):
@@ -43,10 +45,9 @@ def brute_certificate(complex_, cap=NONEVASIVE_CAP, memo=None):
     both.  ``memo`` is keyed on memo_key, so it can be shared across
     complexes on different vertex grounds.
     """
-    if len(complex_.vertices) > cap:
-        raise CapExceeded(
-            f"{len(complex_.vertices)} vertices exceeds the cap of {cap}"
-        )
+    n = complex_._vmask.bit_count()
+    if n > cap:
+        raise CapExceeded(f"{n} vertices exceeds the cap of {cap}")
     if memo is None:
         memo = {}
     return _brute_cert((complex_, memo))
@@ -60,8 +61,8 @@ def _brute_cert(args):
     """The search step on (complex, memo); a recursive call yields the
     deletion or the link with the same memo."""
     c, memo = args
-    if len(c.vertices) == 1:
-        return Leaf(c.vertices[0])
+    if not c._vmask & (c._vmask - 1):
+        return Leaf(c._label[c._vmask.bit_length() - 1])
     key = memo_key(c)
     if key in memo:
         return memo[key]
@@ -91,15 +92,14 @@ def brute_collapsible(complex_, face_cap=COLLAPSE_FACE_CAP):
     are tried smallest first, and faces of one size by their sorted label
     lists; the witness is the first full collapse in that order and feeds
     replay_collapses directly.  More than ``face_cap`` faces raise
-    CapExceeded before the face list is built.
+    CapExceeded, after listing at most 2·face_cap of them.
     """
-    _refuse_over_cap(complex_, face_cap)
     label = complex_._label
     # face i is order[i], with sorted labels names[i]; a search state is
     # the int of the faces left
     faces = sorted(
         (f.bit_count(), sorted(map(label.__getitem__, _bits(f))), f)
-        for f in complex_._face_mask_set()
+        for f in complex_._face_mask_set(face_cap)
     )
     names = [n for _, n, _ in faces]
     order = [f for _, _, f in faces]
@@ -147,21 +147,6 @@ def brute_collapsible(complex_, face_cap=COLLAPSE_FACE_CAP):
     return CollapseSequence(
         tuple(CollapsePair(labels(a), labels(b)) for a, b in result), final_vertex
     )
-
-
-def _refuse_over_cap(complex_, face_cap):
-    """Raise CapExceeded as soon as more than ``face_cap`` faces turn up:
-    one facet of k vertices alone has 2^k - 1 faces to list."""
-    seen = set()
-    for f in complex_._facets:
-        s = f
-        while s:
-            seen.add(s)
-            if len(seen) > face_cap:
-                raise CapExceeded(
-                    f"the complex has more than the cap of {face_cap} faces"
-                )
-            s = (s - 1) & f
 
 
 def mobius(lattice):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import wraps
 
 from . import chain_game
 from .certify import (
@@ -127,10 +128,24 @@ def criterion_certification(run):
     )
 
 
+def _criterion(key, title):
+    """Decorate the check of criterion ``key``, which returns (detail,
+    failures): the wrapped check is timed and returns a CriterionOutcome."""
+    def wrap(check):
+        @wraps(check)
+        def run(*args, **kwargs):
+            t0 = time.perf_counter()
+            detail, failures = check(*args, **kwargs)
+            return CriterionOutcome(key, title, not failures, detail,
+                                    time.perf_counter() - t0, failures)
+        return run
+    return wrap
+
+
+@_criterion("C2", "oracle equivalence")
 def criterion_oracle_equivalence(run, nonevasive_cap=NONEVASIVE_CAP):
     """2: the brute oracle accepts every certified complex, and on random
     complexes every certificate its search finds verifies."""
-    t0 = time.perf_counter()
     failures = []
     memo = {}
     checked = 0
@@ -149,23 +164,16 @@ def criterion_oracle_equivalence(run, nonevasive_cap=NONEVASIVE_CAP):
             nev_count += 1
             if not verify_certificate(complex_, witness).ok:
                 failures.append(f"{name}: searched certificate fails verification")
-    return CriterionOutcome(
-        key="C2",
-        title="oracle equivalence",
-        passed=not failures,
-        detail=(
-            f"{checked} order complexes brute-checked nonevasive; "
-            f"{len(complexes)} random complexes ({nev_count} nonevasive) agree "
-            f"with certificate search"
-        ),
-        seconds=time.perf_counter() - t0,
-        failures=failures,
-    )
+    return (
+        f"{checked} order complexes brute-checked nonevasive; "
+        f"{len(complexes)} random complexes ({nev_count} nonevasive) agree "
+        f"with certificate search"
+    ), failures
 
 
+@_criterion("C3", "collapse extraction")
 def criterion_collapse_extraction(run):
     """3: extraction replays to one vertex with exactly (faces-1)/2 pairs."""
-    t0 = time.perf_counter()
     failures = []
     for name, lattice, x, cert, complex_ in run.instances:
         try:
@@ -178,22 +186,14 @@ def criterion_collapse_extraction(run):
             failures.append(
                 f"{name}/{x}: {len(seq.pairs)} pairs for {faces} faces"
             )
-    return CriterionOutcome(
-        key="C3",
-        title="collapse extraction",
-        passed=not failures,
-        detail=f"{len(run.instances)} collapse sequences replayed",
-        seconds=time.perf_counter() - t0,
-        failures=failures,
-    )
+    return f"{len(run.instances)} collapse sequences replayed", failures
 
 
+@_criterion("C4", "query bound")
 def criterion_query_bound(run, game_cap=chain_game.GAME_CAP):
     """4: the strategy decides every hidden subset within |ground|-1 queries."""
-    t0 = time.perf_counter()
     failures = []
     checked = 0
-    worst = 0
     for name, lattice, x, cert, complex_ in run.instances:
         ground = complex_.vertices
         if len(ground) > game_cap:
@@ -202,7 +202,6 @@ def criterion_query_bound(run, game_cap=chain_game.GAME_CAP):
         strategy = chain_game.compile_strategy(cert, ground)
         report = chain_game.exhaustive_check(strategy, ground, lattice.leq,
                                              cap=game_cap)
-        worst = max(worst, report.max_queries - (len(ground) - 1))
         if report.mismatches:
             failures.append(f"{name}/{x}: {report.mismatches} verdict mismatches")
         if report.max_queries > len(ground) - 1 and len(ground) > 0:
@@ -210,19 +209,12 @@ def criterion_query_bound(run, game_cap=chain_game.GAME_CAP):
                 f"{name}/{x}: {report.max_queries} queries on ground "
                 f"{len(ground)}"
             )
-    return CriterionOutcome(
-        key="C4",
-        title="query bound",
-        passed=not failures,
-        detail=f"{checked} strategies exhausted, budget never exceeded",
-        seconds=time.perf_counter() - t0,
-        failures=failures,
-    )
+    return f"{checked} strategies exhausted, budget never exceeded", failures
 
 
+@_criterion("C5", "Möbius vanishing")
 def criterion_mobius_vanishing(run):
     """5: Möbius zero for noncomplemented lattices; equals reduced Euler."""
-    t0 = time.perf_counter()
     failures = []
     noncomp = 0
     for name, lattice in run.corpus:
@@ -238,22 +230,15 @@ def criterion_mobius_vanishing(run):
             noncomp += 1
             if mu != 0:
                 failures.append(f"{name}: noncomplemented but mobius {mu}")
-    return CriterionOutcome(
-        key="C5",
-        title="Möbius vanishing",
-        passed=not failures,
-        detail=(
-            f"{len(run.corpus)} lattices, {noncomp} noncomplemented, "
-            f"euler = mobius throughout"
-        ),
-        seconds=time.perf_counter() - t0,
-        failures=failures,
-    )
+    return (
+        f"{len(run.corpus)} lattices, {noncomp} noncomplemented, "
+        f"euler = mobius throughout"
+    ), failures
 
 
+@_criterion("C6", "proof identities")
 def criterion_proof_identities(run):
     """6: link/deletion identities and complement witnesses at every split."""
-    t0 = time.perf_counter()
     failures = []
     splits = 0
     for name, lattice, x, cert, complex_ in run.instances:
@@ -261,19 +246,12 @@ def criterion_proof_identities(run):
         splits += report.splits
         if not report.ok:
             failures.extend(f"{name}/{x}: {f}" for f in report.failures[:3])
-    return CriterionOutcome(
-        key="C6",
-        title="proof identities",
-        passed=not failures,
-        detail=f"{splits} splits audited across {len(run.instances)} instances",
-        seconds=time.perf_counter() - t0,
-        failures=failures,
-    )
+    return f"{splits} splits audited across {len(run.instances)} instances", failures
 
 
+@_criterion("C7", "known-value spot checks")
 def criterion_spot_checks():
     """7: frozen known values."""
-    t0 = time.perf_counter()
     failures = []
     d12 = generate("divisor", 12)
     cert, _ = certify(d12, "2")
@@ -290,14 +268,7 @@ def criterion_spot_checks():
         failures.append("mobius(boolean-3) != -1")
     if mobius(d12) != 0:
         failures.append("mobius(divisor-12) != 0")
-    return CriterionOutcome(
-        key="C7",
-        title="known-value spot checks",
-        passed=not failures,
-        detail="divisor-12 root, boolean-2 prune, mobius values",
-        seconds=time.perf_counter() - t0,
-        failures=failures,
-    )
+    return "divisor-12 root, boolean-2 prune, mobius values", failures
 
 
 def run_suite(random_count=500, nonevasive_cap=NONEVASIVE_CAP,

@@ -24,6 +24,7 @@ from nonevade.certify import (
     certificate_to_obj,
     certify,
     extract_collapses,
+    VerifyResult,
     interior_members,
     verify_certificate,
 )
@@ -123,6 +124,33 @@ def test_verify_prune_must_avoid_present_vertices():
     point = Complex("a", [{"a"}])
     assert verify_certificate(point, Prune(("b",), Leaf("a"))).ok
     assert not verify_certificate(point, Prune(("a",), Leaf("a"))).ok
+
+
+EDGE = Complex("ab", [{"a", "b"}])
+POINT = Complex("a", [{"a"}])
+TWO_POINTS = Complex("ab", [{"a"}, {"b"}])
+
+
+def _split(vertex, dl, lk):
+    return Split(vertex, "case2_atom", "a", dl, lk)
+
+
+@pytest.mark.parametrize("complex_, cert, path, reason", [
+    (EDGE, Leaf("a"), (), "leaf against 2-vertex complex"),
+    (POINT, Leaf("b"), (), "leaf names 'b' but the vertex is 'a'"),
+    (EDGE, Prune(("z", "b", "a", "b"), Leaf("a")), (),
+     "pruned vertices ['a', 'b'] are present"),
+    (EDGE, _split("z", Leaf("a"), Leaf("a")), (), "split vertex 'z' missing"),
+    (EDGE, _split("b", _split("b", Leaf("a"), Leaf("a")), Leaf("a")), ("dl",),
+     "split vertex 'b' missing"),
+    (POINT, _split("a", Leaf("a"), Leaf("a")), (),
+     "deletion failed: cannot delete the only vertex"),
+    (TWO_POINTS, _split("b", Leaf("a"), Leaf("a")), ("lk",),
+     "link failed: vertex 'b' is isolated"),
+    (POINT, Prune(("b",), "a"), ("child",), "unknown node str"),
+])
+def test_verify_failure_names_its_path_and_reason(complex_, cert, path, reason):
+    assert verify_certificate(complex_, cert) == VerifyResult(False, path, reason)
 
 
 def test_verify_reports_first_failure_path(d12):

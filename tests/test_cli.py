@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -363,3 +364,10 @@ def test_suite_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["ok"] is True and len(doc["criteria"]) == 7
+    # the whole report, timings aside, is pinned
+    for criterion in doc["criteria"]:
+        del criterion["seconds"]
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == (
+        "e4ea090db561c59da245856e11b37d2f361abb306a05701a97811998a2856157"
+    )

@@ -157,6 +157,29 @@ def test_collapse_cap_refuses_before_listing_faces():
     assert time.perf_counter() - start < 1.0
 
 
+def test_collapse_cap_checks_a_cached_face_set():
+    # face_count lists and caches all 63 faces of the 5-simplex first
+    c = order_complex(generate("chain", 8).interior_set())
+    assert c.face_count() == 63
+    with pytest.raises(CapExceeded, match="more than the cap of 62 faces"):
+        brute_collapsible(c, face_cap=62)
+
+
+def test_collapse_cap_equal_to_the_face_count_is_accepted():
+    c = Complex("abcdef", [set("abcd"), set("cdef")])
+    seq = brute_collapsible(c, face_cap=27)
+    assert len(seq.pairs) == 13
+    replay_collapses(c, seq)
+
+
+def test_refused_face_listing_caches_nothing():
+    # each tetrahedron alone fits the cap, the two together do not
+    c = Complex("abcdef", [set("abcd"), set("cdef")])
+    with pytest.raises(CapExceeded, match="more than the cap of 20 faces"):
+        brute_collapsible(c, face_cap=20)
+    assert c.face_count() == 27
+
+
 def reference_collapsible(complex_):
     """The label-set collapse search that brute_collapsible replaced, with
     the number of collapses it took back."""
