@@ -31,20 +31,26 @@ from .lattice import Lattice, _bits
 
 MODES = ("case1_atom", "case1_coatom", "case2_atom", "case2_coatom")
 
+# a field's wire kind by its annotation; a tuple is a list of strings
+_KINDS = {"str": str, "bool": bool, "tuple": list, "object": None}
+
 
 class _Node:
     """A node of a certificate or of a query strategy.  A node type declares
-    its wire form once, as ``wire=(type name, (key, field, kind), ...)``:
-    fields in document order, which is also constructor order, and kind
-    ``str``, ``bool``, ``list`` (of strings) or None for a child.  ``_own``
-    (an attrgetter), ``_kids``, ``_to_obj`` and ``_parser`` all read it.
+    its wire form once: ``wire=`` names its type and ``field="key"`` each
+    field whose document key is not its name.  ``_wire`` lists (key, field,
+    kind) in constructor order, which is document order, with the kind of
+    each annotation in ``_KINDS``: None for a child.  ``_own`` (an
+    attrgetter), ``_kids``, ``_to_obj`` and ``_parser`` all read it.
 
     ``==`` and ``hash`` walk on an explicit stack and look at each distinct
     node (for ``==``, each pair of nodes) once, so a deep tree needs no
     recursion and a shared one costs time linear in its DAG."""
 
-    def __init_subclass__(cls, wire):
-        cls._type, *cls._wire = wire
+    def __init_subclass__(cls, wire, **keys):
+        cls._type = wire
+        cls._wire = [(keys.get(f, f), f, _KINDS[kind])
+                     for f, kind in cls.__annotations__.items()]
         cls._own = attrgetter(*[f for _, f, kind in cls._wire if kind])
         cls._kids = tuple(f for _, f, kind in cls._wire if kind is None)
 
@@ -107,15 +113,14 @@ def _fold(root, visit):
 
 
 @dataclass(frozen=True, eq=False)
-class Leaf(_Node, wire=("leaf", ("vertex", "vertex", str))):
+class Leaf(_Node, wire="leaf"):
     """Single remaining vertex: the recursion's base case."""
 
     vertex: str
 
 
 @dataclass(frozen=True, eq=False)
-class Prune(_Node, wire=("prune", ("removed", "removed", list),
-                         ("child", "child", None))):
+class Prune(_Node, wire="prune"):
     """Interior elements discarded wholesale; the child covers the same complex."""
 
     removed: tuple
@@ -126,9 +131,7 @@ class Prune(_Node, wire=("prune", ("removed", "removed", list),
 
 
 @dataclass(frozen=True, eq=False)
-class Split(_Node, wire=("split", ("vertex", "vertex", str), ("mode", "mode", str),
-                         ("z", "link_element", str), ("dl", "dl", None),
-                         ("lk", "lk", None))):
+class Split(_Node, wire="split", link_element="z"):
     """Recursion on the deletion and the link of ``vertex``.  ``mode``
     records which elimination case chose the vertex; ``link_element`` is the
     element the link child certifies."""
@@ -740,18 +743,22 @@ def _audit(args):
     this node, message) pair."""
     L, x, node, c = args
     P = L.poset
+    co = L._interior_mask() & ~c  # complements are interior
     if isinstance(node, Leaf):
         if c.bit_count() != 1 or P._label[c.bit_length() - 1] != node.vertex:
             return 0, 0, 1, [((), "leaf does not match the complex")]
         return 0, 0, 1, []
     if isinstance(node, Prune):
-        removed = set(node.removed)
-        if x in removed:
+        if x in node.removed:
             return 0, 1, 0, [((), "prune removed the certified element")]
-        if not removed <= set(L.complements(x)):
-            return 0, 1, 0, [((), "prune removed non-complements")]
+        removed = 0
+        for e in node.removed:
+            p = P._pos.get(e)
+            if p is None or not co >> p & 1:
+                return 0, 1, 0, [((), "prune removed non-complements")]
+            removed |= 1 << p
         try:
-            child_L = L.restrict([e for e in L.elements if e not in removed])
+            child_L = Lattice(P._view(P._mask & ~removed))
         except NonevadeError as exc:
             return 0, 1, 0, [((), f"prune leaves no lattice: {exc}")]
         if _certified(child_L, x) != c:
@@ -770,7 +777,6 @@ def _audit(args):
         ))]
     failures = []
     px = P._pos[x]
-    co = L._interior_mask() & ~c  # complements are interior
     dl_L, lk_L = S._remove_atom(p), S._interval(p, S._bounds[1])
     if side == "coatom":
         dl_L, lk_L = dl_L.dual(), lk_L.dual()

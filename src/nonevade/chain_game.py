@@ -16,13 +16,12 @@ GAME_CAP = 16
 
 
 @dataclass(frozen=True, eq=False)
-class Answer(_Node, wire=("answer", ("chain", "is_chain", bool))):
+class Answer(_Node, wire="answer", is_chain="chain"):
     is_chain: bool
 
 
 @dataclass(frozen=True, eq=False)
-class Query(_Node, wire=("query", ("vertex", "vertex", str), ("yes", "yes", None),
-                         ("no", "no", None))):
+class Query(_Node, wire="query"):
     vertex: str
     yes: object
     no: object

@@ -89,10 +89,8 @@ class Complex:
         c._init(self._label, self._pos, self._rank, vmask, facets)
         return c
 
-    def _labels(self, mask):
-        """The labels in ``mask``, in canonical order."""
-        return tuple(map(self._label.__getitem__,
-                         sorted(_bits(mask), key=self._rank.__getitem__)))
+    # the labels in a mask, in canonical order: a ground reads like a poset's
+    _labels = Poset._labels
 
     def _mask(self, labels):
         """The face mask of ``labels``, or None if one is not a vertex."""
@@ -272,13 +270,17 @@ class CollapseSequence:
     def from_obj(cls, obj):
         if not isinstance(obj, dict) or "pairs" not in obj or "final" not in obj:
             raise ParseError('collapse document needs "pairs" and "final"')
+        pairs, final = obj["pairs"], obj["final"]
+        if not (isinstance(final, str) and isinstance(pairs, list) and all(
+                isinstance(p, list) and len(p) == 2 and all(map(_strings, p))
+                for p in pairs)):
+            raise ParseError('collapse document needs "pairs" as [[free...], '
+                             '[coface...]] string arrays and "final" as a string')
         try:
-            pairs = tuple(
-                CollapsePair(frozenset(a), frozenset(b)) for a, b in obj["pairs"]
-            )
-        except (TypeError, ValueError) as exc:
+            pairs = tuple(CollapsePair(frozenset(a), frozenset(b)) for a, b in pairs)
+        except ValueError as exc:
             raise ParseError(f"bad collapse pair: {exc}") from None
-        return cls(pairs, obj["final"])
+        return cls(pairs, final)
 
 
 def order_complex(poset):

@@ -6,8 +6,10 @@ and lattice is a view (root, member mask): a sublattice or dual is one new
 mask that shares the root.  ``join(u, v)`` is the lowest bit of up(u) &
 up(v) & members (the highest on a dual), and ``meet`` is the join of the
 dual.  The element order given at construction is canonical: every
-scan, tie-break and serialisation follows it.  All values are immutable
-once built, so instances can be shared freely across threads.
+scan, tie-break and serialisation follows it.  A view keeps only its
+root's ground and its masks; label tuples are rendered on each read.
+All values are immutable once built, so instances can be shared freely
+across threads.
 """
 
 from __future__ import annotations
@@ -84,8 +86,7 @@ class Poset:
     sharing the root.  ``elements`` is the canonical order.
     """
 
-    __slots__ = ("_canon", "_label", "_rank", "_pos", "_up", "_down", "_mask",
-                 "_rev", "_elements")
+    __slots__ = ("_label", "_rank", "_pos", "_up", "_down", "_mask", "_rev")
 
     @classmethod
     def from_covers(cls, elements, covers):
@@ -143,19 +144,18 @@ class Poset:
         """The root whose bit p is ``elements[rank[p]]``, with one up- and one
         down-mask per bit; ``rank`` must list a linear extension."""
         root = cls.__new__(cls)
-        root._canon, root._label = elements, tuple(map(elements.__getitem__, rank))
+        root._label = tuple(map(elements.__getitem__, rank))
         root._pos = {label: p for p, label in enumerate(root._label)}
         root._up, root._down, root._rank = tuple(up), tuple(down), rank
-        root._mask, root._rev, root._elements = (1 << len(elements)) - 1, False, elements
+        root._mask, root._rev = (1 << len(elements)) - 1, False
         return root
 
     def _view(self, mask):
         """The induced subposet on the positions in ``mask``."""
         view = Poset.__new__(Poset)
-        view._canon, view._label = self._canon, self._label
-        view._rank, view._pos = self._rank, self._pos
+        view._label, view._rank, view._pos = self._label, self._rank, self._pos
         view._up, view._down, view._rev = self._up, self._down, self._rev
-        view._mask, view._elements = mask, None
+        view._mask = mask
         return view
 
     def _at(self, label):
@@ -170,8 +170,9 @@ class Poset:
         return sorted(_bits(mask), key=self._rank.__getitem__)
 
     def _labels(self, mask):
-        ranks = sorted(map(self._rank.__getitem__, _bits(mask)))
-        return tuple(map(self._canon.__getitem__, ranks))
+        """The labels in ``mask``, in canonical order."""
+        return tuple(map(self._label.__getitem__,
+                         sorted(_bits(mask), key=self._rank.__getitem__)))
 
     def _first(self, mask):
         """The canonically first position in a nonzero ``mask``: its lowest
@@ -204,9 +205,7 @@ class Poset:
 
     @property
     def elements(self):
-        if self._elements is None:
-            self._elements = self._labels(self._mask)
-        return self._elements
+        return self._labels(self._mask)
 
     def __len__(self):
         return self._mask.bit_count()
@@ -259,7 +258,6 @@ class Poset:
         """Order reversed, sharing the root of this poset."""
         view = self._view(self._mask)
         view._up, view._down, view._rev = self._down, self._up, not self._rev
-        view._elements = self._elements
         return view
 
     def restrict(self, members):
@@ -319,9 +317,9 @@ class Lattice:
     unique greatest lower bound for every pair (raising NotALattice with
     the offending witnesses otherwise), which makes every join exist too.
     The atoms are the upper covers of bottom and the coatoms those of top
-    on the dual, found by one cover walk each.  Both are kept as masks;
-    their label tuples ``atoms`` and ``coatoms`` are built on first use,
-    and a dual swaps masks and tuples alike.
+    on the dual, found by one cover walk each.  Both are kept as masks, a
+    dual swaps them, and ``atoms`` renders the atom mask on each read;
+    ``coatoms`` is the atoms of the dual.
 
     Intervals and atom deletions are lattices by construction and derive
     their atoms and coatoms from their parent's:
@@ -339,8 +337,7 @@ class Lattice:
       the upper covers of v on the dual.
     """
 
-    __slots__ = ("poset", "bottom", "top", "_bounds", "_atom_mask", "_coatom_mask",
-                 "_atoms", "_coatoms")
+    __slots__ = ("poset", "bottom", "top", "_bounds", "_atom_mask", "_coatom_mask")
 
     def __init__(self, poset, _bounds=None):
         bottom, top = _lattice_bounds(poset) if _bounds is None else _bounds
@@ -352,7 +349,6 @@ class Lattice:
         self.poset, self._bounds = poset, (bottom, top)
         self.bottom, self.top = poset._label[bottom], poset._label[top]
         self._atom_mask, self._coatom_mask = atoms, coatoms
-        self._atoms = self._coatoms = None
         return self
 
     # -- basic queries ----------------------------------------------------------
@@ -360,16 +356,12 @@ class Lattice:
     @property
     def atoms(self):
         """The members covering bottom, in canonical order."""
-        if self._atoms is None:
-            self._atoms = self.poset._labels(self._atom_mask)
-        return self._atoms
+        return self.poset._labels(self._atom_mask)
 
     @property
     def coatoms(self):
         """The members covered by top, in canonical order."""
-        if self._coatoms is None:
-            self._coatoms = self.poset._labels(self._coatom_mask)
-        return self._coatoms
+        return self.dual().atoms
 
     @property
     def elements(self):
@@ -407,7 +399,7 @@ class Lattice:
 
     def interior(self):
         """Elements other than bottom and top, in canonical order."""
-        return tuple(e for e in self.elements if e not in (self.bottom, self.top))
+        return self.poset._labels(self._interior_mask())
 
     def covers(self):
         return self.poset.covers()
@@ -482,10 +474,8 @@ class Lattice:
     def dual(self):
         """Order reversed: bottom/top, meet/join, atoms/coatoms all swap."""
         bottom, top = self._bounds
-        view = Lattice.__new__(Lattice)._init(
+        return Lattice.__new__(Lattice)._init(
             self.poset.dual(), top, bottom, self._coatom_mask, self._atom_mask)
-        view._atoms, view._coatoms = self._coatoms, self._atoms
-        return view
 
     def comparability_components(self):
         """Connected components of the comparability graph on the interior.
@@ -629,10 +619,8 @@ def dedekind_macneille(poset):
                 f"completion exceeds the cap of {MAX_ELEMENTS} elements"
             )
     cuts = sorted(closed, key=lambda m: (m.bit_count(), tuple(sorted(_bits(m)))))
-    labels = [
-        "(" + "+".join(poset.elements[i] for i in sorted(_bits(m))) + ")"
-        for m in cuts
-    ]
+    elements = poset.elements
+    labels = ["(" + "+".join(elements[i] for i in sorted(_bits(m))) + ")" for m in cuts]
     if len(set(labels)) != len(labels):
         labels = [f"c{k}" for k in range(len(cuts))]
     # cuts grow along the list, so their order is a linear extension
@@ -652,8 +640,9 @@ def product_lattice(left, right):
     n, m = len(left), len(right)
     if n * m > MAX_ELEMENTS:
         raise ParamOutOfRange(f"product has {n * m} elements, cap is {MAX_ELEMENTS}")
-    labels = [f"{a}*{b}" for a in left.elements for b in right.elements]
-    covers = [(f"{a}*{b}", f"{c}*{b}") for a, c in left.covers() for b in right.elements]
+    rights = right.elements
+    labels = [f"{a}*{b}" for a in left.elements for b in rights]
+    covers = [(f"{a}*{b}", f"{c}*{b}") for a, c in left.covers() for b in rights]
     covers += [(f"{a}*{b}", f"{a}*{d}") for a in left.elements for b, d in right.covers()]
     return Lattice(Poset.from_covers(labels, covers))
 
@@ -773,6 +762,11 @@ def _gen_random(n, edge_probability, seed):
     return dedekind_macneille(Poset.from_covers(labels, pairs))
 
 
+#: The families built from one size, which may also be product factors.
+_SIZED = {"chain": _gen_chain, "boolean": _gen_boolean, "divisor": _gen_divisor,
+          "partition": _gen_partition}
+
+
 def generate(family, n=None, *, p=None, seed=None, left=None, right=None):
     """Generate a named lattice family.
 
@@ -783,14 +777,8 @@ def generate(family, n=None, *, p=None, seed=None, left=None, right=None):
     given edge probability; identical seeds give identical lattices).
     """
     fam = str(family).lower()
-    if fam == "chain":
-        return _gen_chain(_require_n(fam, n))
-    if fam == "boolean":
-        return _gen_boolean(_require_n(fam, n))
-    if fam == "divisor":
-        return _gen_divisor(_require_n(fam, n))
-    if fam == "partition":
-        return _gen_partition(_require_n(fam, n))
+    if fam in _SIZED:
+        return _SIZED[fam](_require_n(fam, n))
     if fam == "product":
         if left is None or right is None:
             raise ParamOutOfRange("product needs left and right factors")
@@ -822,6 +810,6 @@ def _resolve_factor(descriptor):
         size = int(num)
     except ValueError:
         raise ParamOutOfRange(f"bad product factor size in {descriptor!r}") from None
-    if fam not in ("chain", "boolean", "divisor", "partition"):
+    if fam not in _SIZED:
         raise UnknownFamily(f"unknown product factor family {fam!r}")
     return generate(fam, size)

@@ -751,6 +751,35 @@ def test_audit_reports_unusable_steps_instead_of_raising(d12):
     assert report.failures[0].startswith("root: prune leaves no lattice")
 
 
+def _prune_cases():
+    d12, b4 = generate("divisor", 12), generate("boolean", 4)
+    cert, _ = certify(d12, "2")
+    b4_cert, _ = certify(b4, "ab")
+    non = "root: prune removed non-complements"
+    cases = [(d12, "2", Prune(("2",), cert), (0, 1, 0),
+              ["root: prune removed the certified element"])]
+    cases += [(d12, "2", Prune((e,), cert), (0, 1, 0), [non])
+              for e in ("4", "3", "1", "zz")]
+    cases.append((d12, "2", Split(cert.vertex, cert.mode, cert.link_element,
+                                  Prune(("4",), cert.dl), cert.lk),
+                  (1, 1, 1), ["dl: prune removed non-complements"]))
+    cases.append((b4, "ab", Prune(("cd",), b4_cert), (0, 1, 0), [
+        "root: prune leaves no lattice: no unique meet for 'acd' and 'bcd': "
+        "candidates ['c', 'd']"]))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(_prune_cases())))
+def test_audit_prune_failures_are_pinned(case):
+    # the tally and failures of prunes that remove the element, a
+    # non-complement, the bottom, an unknown label or a complement whose
+    # removal leaves no lattice
+    lat, x, cert, tally, failures = _prune_cases()[case]
+    report = audit_certificate(lat, x, cert)
+    assert (report.splits, report.prunes, report.leaves) == tally
+    assert report.failures == failures
+
+
 def test_audit_flags_wrong_link_element(d12):
     cert, _ = certify(d12, "2")
     tampered = Split(cert.vertex, cert.mode, "12", cert.dl, cert.lk)

@@ -18,6 +18,7 @@ from nonevade.errors import (
     EmptyLink,
     LastVertex,
     NotFreePair,
+    ParseError,
     ReplayMismatch,
     UnknownVertex,
 )
@@ -273,6 +274,20 @@ def test_collapse_pair_validation():
 def test_collapse_sequence_round_trip():
     s = seq([({"3"}, {"3", "6"})], "6")
     assert CollapseSequence.from_obj(s.to_obj()) == s
+
+
+@pytest.mark.parametrize("doc", [
+    {"pairs": [[["a"], ["a", "b"]]], "final": ["x"]},  # final is a list
+    {"pairs": [[[1], [1, 2]]], "final": 1},  # integer labels
+    {"pairs": [["ab", "abc"]], "final": "a"},  # string faces, not lists
+    {"pairs": [[["a"], ["a", "b"], ["c"]]], "final": "a"},  # three faces
+    {"pairs": {"a": "b"}, "final": "a"},
+    {"pairs": [[["a"], ["a", "b", "c"]]], "final": "a"},  # not a free pair
+    {"pairs": []},
+])
+def test_collapse_sequence_from_obj_checks_field_kinds(doc):
+    with pytest.raises(ParseError):
+        CollapseSequence.from_obj(doc)
 
 
 # --- the proof's link/deletion identities ----------------------------------------------

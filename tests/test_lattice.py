@@ -804,6 +804,37 @@ def test_crapo_complementation_random_and_views(seed):
         _assert_crapo(lat.interval(lat.bottom, y))
 
 
+# --- label rendering ----------------------------------------------------------------
+
+
+def test_label_reads_are_pinned_and_leave_views_untouched():
+    # every named-corpus lattice in three shuffled element orders, which
+    # are rarely linear extensions, so bits and canonical ranks disagree
+    digest, off = hashlib.sha256(), 0
+    for seed in (1, 2, 3):
+        rng = Random(seed)
+        for name, lat in named_corpus():
+            elements = list(lat.elements)
+            rng.shuffle(elements)
+            lat = Lattice(Poset.from_covers(elements, lat.covers()))
+            off += type(lat.poset._rank) is not range
+            dual = lat.dual()
+            views = (lat, lat.poset, dual, dual.poset)
+            before = [[getattr(v, s) for s in type(v).__slots__] for v in views]
+            for view in views[::2]:
+                reads = [name, seed, view.elements, view.atoms, view.coatoms,
+                         view.interior(), view.dual().atoms,
+                         {e: view.complements(e) for e in view.elements}]
+                digest.update(json.dumps(reads).encode() + b"\n")
+            after = [[getattr(v, s) for s in type(v).__slots__] for v in views]
+            assert all(a is b for old, new in zip(before, after)
+                       for a, b in zip(old, new)), name
+    assert off == 57
+    assert digest.hexdigest() == (
+        "fbce2afd6d6ab0dbd8b9ff165177803cff44bb1f8418f93e1fb9c89385e6fab6"
+    )
+
+
 # --- interior sets -----------------------------------------------------------------
 
 
