@@ -85,17 +85,23 @@ class Caps:
         return caps
 
 
+def _read_text(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _load_lattice(args):
-    with open(args.file, "r", encoding="utf-8") as handle:
-        return parse_lattice(handle.read())
+    return parse_lattice(_read_text(args.file))
 
 
 def _load_json(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    try:
+        return json.loads(_read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
 def _emit(args, obj, text_lines):

@@ -38,7 +38,7 @@ from .errors import (
 MAX_ELEMENTS = 1 << 16
 
 #: Largest n whose divisor lattice ``generate`` builds.  The worst case
-#: below it, 735,134,400 with 1,344 divisors, builds in about 0.35 s
+#: below it, 735,134,400 with 1,344 divisors, builds in about 0.025 s
 #: (CPython 3.11, one core of a shared 2-core machine).
 MAX_DIVISOR_N = 10 ** 9
 
@@ -282,12 +282,47 @@ def _missing_bound(poset, order):
     return None
 
 
+def _meets_exist(poset, order):
+    """Whether every pair of the bounded ``poset`` has a meet, testing only
+    the pairs (p, m) with m meet-irreducible (one upper cover) and p
+    incomparable to m.
+
+    That suffices, by downward induction along a linear extension: if q has
+    upper covers u1 != u2, their meet exists and is q, so the meet of p and
+    q is the meet of meet(p, u1) and u2.  The first bit of m's strict
+    up-set along the bits (the highest on a dual) is an upper cover c, and
+    c is the only one exactly when c's up-set is the rest of m's.  A pair
+    of two meet-irreducible members is tested once, from the first.
+    """
+    mask, up, down, rev = poset._mask, poset._up, poset._down, poset._rev
+    untested = mask
+    for m in order:
+        strict = up[m] & mask & ~(1 << m)
+        if not strict:
+            continue
+        c = (strict if rev else strict & -strict).bit_length() - 1
+        if up[c] & mask != strict:
+            continue
+        untested &= ~(1 << m)
+        down_m = down[m] & mask
+        partners = untested & ~(up[m] | down_m)
+        while partners:
+            low = partners & -partners
+            partners ^= low
+            common = down_m & down[low.bit_length() - 1]
+            if common & ~down[(common & -common if rev else common).bit_length() - 1]:
+                return False
+    return True
+
+
 def _lattice_bounds(poset):
     """Positions of the bottom and top; raises unless ``poset`` is a lattice.
 
     A finite poset with a top in which every pair has a meet is a lattice
     (the join of u and v is the meet of their common upper bounds, a set
-    that holds the top), so only meets are checked.
+    that holds the top), so only meets are checked, and by
+    ``_meets_exist`` only those with a meet-irreducible member.  When one
+    is missing, the full pair scan names the canonically first pair.
     """
     n = len(poset)
     if n == 0:
@@ -302,9 +337,8 @@ def _lattice_bounds(poset):
     maximals = [p for p in order if up[p] & mask == 1 << p]
     if len(maximals) != 1:
         raise NoUniqueTop(f"maximal elements: {[label[p] for p in maximals]}")
-    missing = _missing_bound(poset, order)
-    if missing:
-        p, q, common = missing
+    if not _meets_exist(poset, order):
+        p, q, common = _missing_bound(poset, order)
         wits = sum(1 << r for r in _bits(common) if up[r] & common == 1 << r)
         raise NotALattice(label[p], label[q], poset._labels(wits))
     return minimals[0], maximals[0]
@@ -315,7 +349,10 @@ class Lattice:
 
     Construction validates everything: unique minimum and maximum, and a
     unique greatest lower bound for every pair (raising NotALattice with
-    the offending witnesses otherwise), which makes every join exist too.
+    the canonically first pair and its witnesses otherwise), which makes
+    every join exist too.  Only the pairs with a meet-irreducible member
+    are tested (see ``_meets_exist``); on a failure every pair is scanned
+    to name the first one.
     The atoms are the upper covers of bottom and the coatoms those of top
     on the dual, found by one cover walk each.  Both are kept as masks, a
     dual swaps them, and ``atoms`` renders the atom mask on each read;

@@ -150,15 +150,21 @@ def brute_collapsible(complex_, face_cap=COLLAPSE_FACE_CAP):
 
 
 def mobius(lattice):
-    """Möbius value between bottom and top, by the standard recursion."""
-    values = {}
-    below = lattice.poset.dual().above
-    for e in lattice.poset.linear_extension():
-        if e == lattice.bottom:
-            values[e] = 1
-        else:
-            values[e] = -sum(values[u] for u in below(e, strict=True))
-    return values[lattice.top]
+    """Möbius value between bottom and top, by the standard recursion
+    mu(p) = -sum of mu(q) over q < p, walked on positions along the bits
+    (a linear extension, reversed on a dual).  Only nonzero values are
+    kept, and each member sums over the part of its down-set they cover."""
+    P = lattice.poset
+    bottom, top = lattice._bounds
+    down, members = P._down, P._mask & ~(1 << bottom)
+    values, nonzero = {bottom: 1}, 1 << bottom
+    order = sorted(_bits(members), reverse=True) if P._rev else _bits(members)
+    for p in order:
+        mu = -sum(values[q] for q in _bits(down[p] & nonzero))
+        if mu:
+            values[p] = mu
+            nonzero |= 1 << p
+    return values.get(top, 0)
 
 
 def find_noncomplemented_element(lattice):

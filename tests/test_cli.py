@@ -72,6 +72,29 @@ def test_validate_malformed_json_covers_usage_error(capsys, tmp_path, doc, entry
     assert error["type"] == "ParseError" and error["message"].startswith(entry)
 
 
+@pytest.mark.parametrize("loader", ["lattice", "complex", "certificate"])
+def test_a_file_that_is_not_utf8_is_usage_error(capsys, d12_file, tmp_path, loader):
+    # the lattice loader reads a UTF-16 byte-order mark, the JSON loader a
+    # document with a trailing byte that is not UTF-8
+    path = tmp_path / "bad.bin"
+    if loader == "lattice":
+        path.write_bytes(b"\xff\xfe")
+        argv = ["validate", str(path)]
+    elif loader == "complex":
+        path.write_bytes(json.dumps({"vertices": ["a"], "facets": [["a"]]}).encode()
+                         + b"\xff")
+        argv = ["oracle", str(path), "--complex", "--check", "nonevasive"]
+    else:
+        run(capsys, "certify", d12_file, "-x", "2", "-o", str(path))
+        path.write_bytes(path.read_bytes() + b"\xff")
+        argv = ["verify", d12_file, "-x", "2", "--cert", str(path)]
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith(f"{path}: not UTF-8 text")
+
+
 def test_missing_file_is_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "validate", str(tmp_path / "nope.lat"))
     assert code == 2

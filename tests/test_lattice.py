@@ -22,6 +22,8 @@ from nonevade.corpus import BOWTIE_TEXT, M3_TEXT, N5_TEXT, named_corpus, random_
 from nonevade.lattice import (
     Lattice,
     Poset,
+    _meets_exist,
+    _missing_bound,
     check_label,
     dedekind_macneille,
     format_lattice,
@@ -226,6 +228,46 @@ def test_recognition_matches_the_definition(seed, shuffle, dual):
     assert is_lattice
     for (u, v), w in meets.items():
         assert lat.meet(u, v) == w and lat.join(u, v) == joins[u, v]
+
+
+def test_the_meet_irreducible_check_agrees_with_the_full_scan():
+    # seeded bounded posets 0 < 3-12 middle elements < 1 in a shuffled
+    # canonical order, as roots, duals and restricted views: the check over
+    # meet-irreducible partners says yes exactly when the scan of every
+    # pair finds none without a meet, and a refusal names the pair that
+    # scan finds first and its maximal common lower bounds
+    seen = {"lattice": 0, "not": 0}
+    for seed in range(4000):
+        rng = Random(seed)
+        mids = [f"m{i}" for i in range(rng.randint(3, 12))]
+        prob = rng.choice([0.2, 0.35, 0.5])
+        less = [(u, v) for i, u in enumerate(mids) for v in mids[i + 1:]
+                if rng.random() < prob]
+        less += [("0", w) for w in mids] + [(w, "1") for w in mids]
+        elements = ["0", *mids, "1"]
+        rng.shuffle(elements)
+        root = Poset.from_covers(elements, less)
+        dropped = set(rng.sample(mids, rng.randint(0, 3)))
+        kept = [e for e in elements if e not in dropped]
+        restricted = (root.dual() if seed % 2 else root).restrict(kept)
+        for view in (root, root.dual(), restricted):
+            order = view._sorted(view._mask)
+            missing = _missing_bound(view, order)
+            assert _meets_exist(view, order) == (missing is None), seed
+            if missing is None:
+                seen["lattice"] += 1
+                Lattice(view)
+                continue
+            seen["not"] += 1
+            p, q, common = missing
+            below = view._labels(common)
+            wits = tuple(w for w in below if not any(w != z and view.leq(w, z) for z in below))
+            with pytest.raises(NotALattice) as err:
+                Lattice(view)
+            exc = err.value
+            assert (exc.left, exc.right, exc.witnesses) == (
+                view._label[p], view._label[q], wits), seed
+    assert min(seen.values()) > 2000, seen
 
 
 # --- complements --------------------------------------------------------------
@@ -775,6 +817,40 @@ def _mobius_from_bottom(lat):
         below = [w for w in mu if lat.leq(w, y)]
         mu[y] = 1 if y == lat.bottom else -sum(mu[w] for w in below)
     return mu
+
+
+def test_mobius_on_views_matches_the_recursion_on_labels():
+    for name, lat in named_corpus():
+        views = [lat, lat.dual()]
+        views += [lat.remove_atom(a) for a in lat.atoms]
+        views += [lat.interval(a, lat.top) for a in lat.atoms]
+        for view in views:
+            assert mobius(view) == _mobius_from_bottom(view)[view.top], name
+
+
+def _number_mobius(n):
+    """The number-theoretic Möbius function, by trial division."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+def test_mobius_closed_forms():
+    cases = [(generate("boolean", n), (-1) ** n) for n in range(9)]
+    cases += [(generate("partition", n), (-1) ** (n - 1) * math.factorial(n - 1))
+              for n in range(1, 7)]
+    cases += [(generate("chain", n), mu) for n, mu in ((1, 1), (2, -1), (3, 0))]
+    cases += [(generate("divisor", n), _number_mobius(n)) for n in (720720, 510510)]
+    cases.append((generate("product", left="boolean:4", right="partition:4"), -6))
+    assert [_number_mobius(n) for n in (720720, 510510)] == [0, -1]
+    for lat, mu in cases:
+        assert mobius(lat) == mu == mobius(lat.dual()), lat
 
 
 def _assert_crapo(lat):
