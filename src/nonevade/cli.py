@@ -3,8 +3,8 @@ compile strategies, play the chain game, and run the corpus cross-check.
 
 Exit codes: 0 success, 1 semantic failure (not a lattice, verification
 failed, mismatch found, negative oracle verdict), 2 usage/parse/IO
-errors.  With --json, results go to stdout and errors to stderr as JSON;
-payloads and errors never share a stream.
+errors.  With --json, results go to stdout and errors, usage errors
+included, to stderr as JSON; payloads and errors never share a stream.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 from . import chain_game, oracles, suite as suite_mod
 from .certify import (
@@ -41,7 +42,7 @@ from .errors import (
     UnknownElement,
     UnknownFamily,
 )
-from .lattice import format_lattice, generate, parse_lattice
+from .lattice import _decode_json, format_lattice, generate, parse_lattice
 from .oracles import brute_collapsible, brute_nonevasive, find_noncomplemented_element, mobius
 
 EXIT_OK = 0
@@ -49,6 +50,9 @@ EXIT_SEMANTIC = 1
 EXIT_USAGE = 2
 
 _USAGE_ERRORS = (ParseError, UnknownFamily, ParamOutOfRange, OSError)
+
+#: The encoder of every JSON payload and document the CLI writes.
+_JSON = json.JSONEncoder(indent=2)
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,9 @@ class Caps:
     collapse_faces: int = oracles.COLLAPSE_FACE_CAP
 
     @classmethod
-    def resolve(cls, flags):
+    def resolve(cls, args):
+        """The caps for parsed ``args``; the flag for a cap ``key`` is the
+        option ``cap_<key>``, on the commands that declare it."""
         values = asdict(cls())
         env = os.environ.get("NONEVADE_CAPS", "")
         if env:
@@ -76,13 +82,13 @@ class Caps:
                     values[key] = int(raw)
                 except ValueError:
                     raise ParseError(f"bad NONEVADE_CAPS value {item!r}") from None
-        for key, flag in flags.items():
+        for key in values:
+            flag = getattr(args, "cap_" + key, None)
             if flag is not None:
                 values[key] = flag
-        caps = cls(**values)
-        if caps.nonevasive <= 0 or caps.game <= 0 or caps.collapse_faces <= 0:
+        if min(values.values()) <= 0:
             raise ParseError("caps must be positive")
-        return caps
+        return cls(**values)
 
 
 def _read_text(path):
@@ -98,24 +104,24 @@ def _load_lattice(args):
 
 
 def _load_json(path):
-    try:
-        return json.loads(_read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    return _decode_json(_read_text(path), f"{path}: invalid JSON")
+
+
+def _certified(args):
+    """The lattice, the certificate of its element -x and the trace."""
+    lattice = _load_lattice(args)
+    return (lattice, *certify(lattice, args.element))
+
+
+def _write(path, chunks):
+    """Write the strings ``chunks`` to the file ``path`` as they come."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(chunks)
 
 
 def _emit(args, obj, text_lines):
-    if args.json:
-        print(json.dumps(obj, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _write_doc(path, obj):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, indent=2)
-        handle.write("\n")
+    """Print the payload: ``obj`` as JSON with --json, else the text lines."""
+    print(_JSON.encode(obj) if args.json else "\n".join(text_lines))
 
 
 def _emit_document(args, key, obj, payload, text_lines):
@@ -123,12 +129,12 @@ def _emit_document(args, key, obj, payload, text_lines):
     the payload, holding the document under ``key`` unless it went to a
     file; otherwise the text lines, then the document or where it went."""
     if args.output:
-        _write_doc(args.output, obj)
+        _write(args.output, chain(_JSON.iterencode(obj), "\n"))
         text_lines.append(f"{key} written to {args.output}")
     elif args.json:
         payload[key] = obj
     else:
-        text_lines.append(json.dumps(obj, indent=2))
+        text_lines.append(_JSON.encode(obj))
     _emit(args, payload, text_lines)
 
 
@@ -163,8 +169,7 @@ def cmd_complements(args):
 
 
 def cmd_certify(args):
-    lattice = _load_lattice(args)
-    cert, trace = certify(lattice, args.element)
+    lattice, cert, trace = _certified(args)
     complex_ = certificate_complex(lattice, args.element)
     result = verify_certificate(complex_, cert)
     summary = {
@@ -192,21 +197,16 @@ def cmd_verify(args):
         "path": list(result.path),
         "reason": result.reason,
     }
-    if result.ok:
-        _emit(args, obj, [
-            f"certificate verifies against the complex on "
-            f"{len(complex_.vertices)} vertices"
-        ])
-        return EXIT_OK
     _emit(args, obj, [
+        f"certificate verifies against the complex on {len(complex_.vertices)} vertices"
+        if result.ok else
         f"verification FAILED at {'/'.join(result.path) or 'root'}: {result.reason}"
     ])
-    return EXIT_SEMANTIC
+    return EXIT_OK if result.ok else EXIT_SEMANTIC
 
 
 def cmd_collapse(args):
-    lattice = _load_lattice(args)
-    cert, _ = certify(lattice, args.element)
+    lattice, cert, _ = _certified(args)
     complex_ = certificate_complex(lattice, args.element)
     seq = extract_collapses(cert, complex_)  # replay-checked internally
     _emit_document(args, "sequence", seq.to_obj(),
@@ -218,8 +218,7 @@ def cmd_collapse(args):
 
 
 def cmd_strategy(args):
-    lattice = _load_lattice(args)
-    cert, _ = certify(lattice, args.element)
+    lattice, cert, _ = _certified(args)
     ground = interior_members(lattice, args.element)
     strategy = compile_strategy(cert, ground)
     depth = strategy_depth(strategy)
@@ -232,8 +231,7 @@ def cmd_strategy(args):
 
 
 def cmd_game(args):
-    lattice = _load_lattice(args)
-    cert, _ = certify(lattice, args.element)
+    lattice, cert, _ = _certified(args)
     ground = interior_members(lattice, args.element)
     strategy = compile_strategy(cert, ground)
     if args.exhaustive:
@@ -248,8 +246,7 @@ def cmd_game(args):
             ),
         ])
         return EXIT_OK if report.mismatches == 0 else EXIT_SEMANTIC
-    raw = args.hidden or ""
-    hidden = [v for v in raw.split(",") if v]
+    hidden = [v for v in args.hidden.split(",") if v]
     unknown = [v for v in hidden if v not in ground]
     if unknown:
         raise UnknownElement(f"hidden elements {unknown} are not in the ground set")
@@ -312,9 +309,9 @@ def cmd_gen(args):
                        left=args.left, right=args.right)
     text = format_lattice(lattice, as_json=args.json)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {len(lattice)} elements to {args.output}")
+        _write(args.output, [text])
+        _emit(args, {"elements": len(lattice), "output": args.output},
+              [f"wrote {len(lattice)} elements to {args.output}"])
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -326,30 +323,21 @@ def cmd_suite(args):
         nonevasive_cap=args.caps.nonevasive,
         game_cap=args.caps.game,
     )
-    if args.json:
-        print(json.dumps(report.to_obj(), indent=2))
-    else:
-        print(report.format_text())
+    _emit(args, report.to_obj(), [report.format_text()])
     return EXIT_OK if report.ok else EXIT_SEMANTIC
 
 
-_HANDLERS = {
-    "validate": cmd_validate,
-    "complements": cmd_complements,
-    "certify": cmd_certify,
-    "verify": cmd_verify,
-    "collapse": cmd_collapse,
-    "strategy": cmd_strategy,
-    "game": cmd_game,
-    "mobius": cmd_mobius,
-    "oracle": cmd_oracle,
-    "gen": cmd_gen,
-    "suite": cmd_suite,
-}
+class _UsageError(Exception):
+    """An argparse usage error, as (parser, message), for ``main`` to report."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(self, message)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nonevade",
         description=(
             "Certify order complexes of complement-deleted lattices as "
@@ -361,9 +349,15 @@ def build_parser():
                         help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def file_cmd(name, help_, element=True, output=False):
-        p = sub.add_parser(name, parents=[common], help=help_)
-        p.add_argument("file", help="lattice file (text or JSON)")
+    def command(handler, help_, *, file="lattice file (text or JSON)",
+                element=True, output=False):
+        """Declare the subcommand that ``handler`` (``cmd_<name>``) runs; a
+        None ``file`` declares no FILE, and ``element`` a required -x."""
+        p = sub.add_parser(handler.__name__[len("cmd_"):], parents=[common],
+                           help=help_)
+        p.set_defaults(handler=handler)
+        if file:
+            p.add_argument("file", help=file)
         if element:
             p.add_argument("-x", required=True, dest="element",
                            help="interior element label")
@@ -371,33 +365,33 @@ def build_parser():
             p.add_argument("-o", "--output", help="write the result document here")
         return p
 
-    file_cmd("validate", "check a lattice file", element=False)
-    file_cmd("complements", "print the complement set of an element")
-    file_cmd("certify", "emit a nonevasiveness certificate", output=True)
-    verify_p = file_cmd("verify", "check a certificate against the complex")
+    command(cmd_validate, "check a lattice file", element=False)
+    command(cmd_complements, "print the complement set of an element")
+    command(cmd_certify, "emit a nonevasiveness certificate", output=True)
+    verify_p = command(cmd_verify, "check a certificate against the complex")
     verify_p.add_argument("--cert", required=True, help="certificate JSON file")
-    file_cmd("collapse", "emit a replay-checked collapse sequence", output=True)
-    file_cmd("strategy", "compile the chain-game query strategy", output=True)
-    game_p = file_cmd("game", "play the chain game")
+    command(cmd_collapse, "emit a replay-checked collapse sequence", output=True)
+    command(cmd_strategy, "compile the chain-game query strategy", output=True)
+    game_p = command(cmd_game, "play the chain game")
     mode = game_p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exhaustive", action="store_true",
                       help="test all hidden subsets")
     mode.add_argument("--hidden", help="comma-separated hidden subset "
                                        "(empty string for the empty set)")
-    game_p.add_argument("--cap-game", type=int, dest="cap_game")
-    file_cmd("mobius", "Möbius value and reduced Euler characteristic",
-             element=False)
-    oracle_p = sub.add_parser("oracle", parents=[common],
-                              help="brute-force nonevasiveness/collapsibility")
-    oracle_p.add_argument("file", help="lattice file, or complex JSON with --complex")
+    game_p.add_argument("--cap-game", type=int)
+    command(cmd_mobius, "Möbius value and reduced Euler characteristic",
+            element=False)
+    oracle_p = command(cmd_oracle, "brute-force nonevasiveness/collapsibility",
+                       file="lattice file, or complex JSON with --complex",
+                       element=False)
     oracle_p.add_argument("-x", dest="element", help="interior element label")
     oracle_p.add_argument("--complex", action="store_true",
                           help="treat FILE as a complex document")
     oracle_p.add_argument("--check", choices=("nonevasive", "collapsible"),
                           required=True)
-    oracle_p.add_argument("--cap-nonevasive", type=int, dest="cap_nonevasive")
+    oracle_p.add_argument("--cap-nonevasive", type=int)
     oracle_p.add_argument("--cap-faces", type=int, dest="cap_collapse_faces")
-    gen_p = sub.add_parser("gen", parents=[common], help="generate a lattice file")
+    gen_p = command(cmd_gen, "generate a lattice file", file=None, element=False)
     gen_p.add_argument("family",
                        help="chain | boolean | divisor | partition | product | random")
     gen_p.add_argument("--n", type=int, help="size parameter")
@@ -406,10 +400,10 @@ def build_parser():
     gen_p.add_argument("--left", help="product left factor, e.g. chain:3")
     gen_p.add_argument("--right", help="product right factor")
     gen_p.add_argument("-o", "--output", help="write the lattice file here")
-    suite_p = sub.add_parser("suite", parents=[common],
-                             help="run the full corpus cross-check")
-    suite_p.add_argument("--cap-nonevasive", type=int, dest="cap_nonevasive")
-    suite_p.add_argument("--cap-game", type=int, dest="cap_game")
+    suite_p = command(cmd_suite, "run the full corpus cross-check",
+                      file=None, element=False)
+    suite_p.add_argument("--cap-nonevasive", type=int)
+    suite_p.add_argument("--cap-game", type=int)
     suite_p.add_argument("--random-count", type=int, default=500,
                          help="number of seeded random lattices")
     return parser
@@ -424,21 +418,22 @@ def _report_error(exc, json_output):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args.caps = Caps.resolve({
-            "nonevasive": getattr(args, "cap_nonevasive", None),
-            "game": getattr(args, "cap_game", None),
-            "collapse_faces": getattr(args, "cap_collapse_faces", None),
-        })
-        return _HANDLERS[args.command](args)
-    except _USAGE_ERRORS as exc:
-        _report_error(exc, args.json)
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        # argparse reports and exits unless --json (or an abbreviation) is given
+        parser, message = exc.args
+        if not any(len(a) > 2 and "--json".startswith(a) for a in argv):
+            argparse.ArgumentParser.error(parser, message)
+        _report_error(ParseError(message), True)
         return EXIT_USAGE
-    except NonevadeError as exc:
+    try:
+        args.caps = Caps.resolve(args)
+        return args.handler(args)
+    except (NonevadeError, OSError) as exc:
         _report_error(exc, args.json)
-        return EXIT_SEMANTIC
+        return EXIT_USAGE if isinstance(exc, _USAGE_ERRORS) else EXIT_SEMANTIC
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from .errors import (
     UnknownFamily,
 )
 
-#: Hard cap on the number of elements a generator may produce.
+#: Hard cap on the number of elements of a root lattice or poset.
 MAX_ELEMENTS = 1 << 16
 
 #: Largest n whose divisor lattice ``generate`` builds.  The worst case
@@ -59,6 +59,16 @@ def check_label(label):
 def _strings(obj):
     """Whether a JSON value is an array of strings."""
     return isinstance(obj, list) and all(isinstance(x, str) for x in obj)
+
+
+def _decode_json(text, context):
+    """The JSON value in ``text``.  Malformed text, nesting too deep to
+    decode and an integer too long to convert are each a ParseError whose
+    message starts with ``context``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{context}: {exc}") from None
 
 
 def _bits(mask):
@@ -96,11 +106,14 @@ class Poset:
         Kahn's algorithm always takes the canonically first free element, so
         a canonical order that is a linear extension is kept as it is.
         Down-sets close over predecessors as elements are taken, and up-sets
-        over successors from the top down.
+        over successors from the top down.  More than ``MAX_ELEMENTS``
+        labels are refused first, as the masks take space quadratic in them.
         """
         elements = tuple(elements)
-        index = _index_labels(elements)
         n = len(elements)
+        if n > MAX_ELEMENTS:
+            raise ParamOutOfRange(f"{n} elements exceeds the cap of {MAX_ELEMENTS}")
+        index = _index_labels(elements)
         succ = [set() for _ in range(n)]
         for u, v in covers:
             if u not in index:
@@ -324,11 +337,8 @@ def _lattice_bounds(poset):
     ``_meets_exist`` only those with a meet-irreducible member.  When one
     is missing, the full pair scan names the canonically first pair.
     """
-    n = len(poset)
-    if n == 0:
+    if not poset._mask:
         raise NoUniqueBottom("empty poset has no bottom element")
-    if n > MAX_ELEMENTS:
-        raise ParamOutOfRange(f"{n} elements exceeds the cap of {MAX_ELEMENTS}")
     mask, up, down, label = poset._mask, poset._up, poset._down, poset._label
     order = poset._sorted(mask)
     minimals = [p for p in order if down[p] & mask == 1 << p]
@@ -564,12 +574,8 @@ def parse_lattice(text):
     The elements line fixes the canonical order.  JSON alternative:
     ``{"elements": [...], "covers": [["u", "v"], ...]}``.
     """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON lattice document: {exc}") from None
+    if text.lstrip().startswith("{"):
+        doc = _decode_json(text, "invalid JSON lattice document")
         if not isinstance(doc, dict) or "elements" not in doc:
             raise ParseError('JSON lattice document needs an "elements" array')
         elements = doc["elements"]
@@ -578,12 +584,10 @@ def parse_lattice(text):
             raise ParseError('"elements" must be an array of strings')
         if not isinstance(covers, list):
             raise ParseError(f'bad covers {covers!r}: expected an array of ["u", "v"]')
-        pairs = []
         for item in covers:
             if not (_strings(item) and len(item) == 2):
                 raise ParseError(f'bad cover entry {item!r}: expected ["u", "v"]')
-            pairs.append((item[0], item[1]))
-        return Lattice(Poset.from_covers(elements, pairs))
+        return Lattice(Poset.from_covers(elements, covers))
 
     elements = None
     covers = []

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -70,6 +71,44 @@ def test_validate_malformed_json_covers_usage_error(capsys, tmp_path, doc, entry
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "ParseError" and error["message"].startswith(entry)
+
+
+@pytest.mark.parametrize("text", [
+    '{"elements": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    '{"elements": ["a"], "covers": [[' + "1" * 5000 + "]]}",
+], ids=["deep", "long-int"])
+def test_validate_undecodable_lattice_json_is_usage_error(capsys, tmp_path, text):
+    path = tmp_path / "l.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", str(path), "--json")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith("invalid JSON lattice document: ")
+
+
+USAGE_ERRORS = [
+    (["certify", "{d12}"], "the following arguments are required: -x"),
+    (["gen", "boolean", "--n", "x"], "argument --n: invalid int value: 'x'"),
+]
+
+
+@pytest.mark.parametrize("flag", ["--json", "--jso", "--j"])
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_usage_errors_follow_json(capsys, d12_file, argv, message, flag):
+    code, out, err = run(capsys, *(a.format(d12=d12_file) for a in argv), flag)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": {"type": "ParseError", "message": message}}
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_usage_errors_without_json_are_argparse_reports(capsys, d12_file, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(d12=d12_file) for a in argv])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith(f"usage: nonevade {argv[0]} ")
+    assert err.endswith(f"\nnonevade {argv[0]}: error: {message}\n")
 
 
 @pytest.mark.parametrize("loader", ["lattice", "complex", "certificate"])
@@ -321,6 +360,14 @@ def test_gen_round_trip(capsys, tmp_path):
     assert code == 0 and "8 elements" in out
 
 
+def test_gen_json_output_reports_in_json(capsys, tmp_path):
+    path = tmp_path / "d12.json"
+    code, out, _ = run(capsys, "gen", "divisor", "--n", "12", "--json", "-o", str(path))
+    assert code == 0
+    assert json.loads(out) == {"elements": 6, "output": str(path)}
+    assert len(json.loads(path.read_text())["elements"]) == 6
+
+
 def test_gen_stdout(capsys):
     code, out, _ = run(capsys, "gen", "chain", "--n", "3")
     assert code == 0
@@ -394,3 +441,163 @@ def test_suite_json(capsys):
     assert digest == (
         "e4ea090db561c59da245856e11b37d2f361abb306a05701a97811998a2856157"
     )
+
+
+HOLLOW = {"vertices": ["a", "b", "c"], "facets": [["a", "b"], ["a", "c"], ["b", "c"]]}
+
+#: One row per call; each call runs once in text mode and once with --json
+#: unless its row says otherwise.  {out} is the file a call may write.
+PINNED_CALLS = [
+    ("validate {d12}", True),
+    ("validate {bowtie}", True),
+    ("complements {d12} -x 4", True),
+    ("complements {d12} -x 9", True),
+    ("certify {d12} -x 2", True),
+    ("certify {d12} -x 2 -o {out}", True),
+    ("verify {d12} -x 2 --cert {cert}", True),
+    ("verify {d12} -x 4 --cert {cert}", True),
+    ("collapse {d12} -x 2", True),
+    ("collapse {d12} -x 2 -o {out}", True),
+    ("strategy {d12} -x 2", True),
+    ("strategy {d12} -x 2 -o {out}", True),
+    ("game {d12} -x 2 --exhaustive", True),
+    ("game {d12} -x 2 --exhaustive --cap-game 2", True),
+    ("game {d12} -x 2 --hidden 2,6", True),
+    ("game {d12} -x 2 --hidden 5", True),
+    ("mobius {d12}", True),
+    ("oracle {d12} -x 2 --check nonevasive", True),
+    ("oracle {d12} -x 2 --check collapsible --cap-faces 1", True),
+    ("oracle {hollow} --complex --check collapsible", True),
+    ("oracle {d12} --check nonevasive", True),
+    ("gen divisor --n 12", True),
+    ("gen divisor --n 1000000001", True),
+    ("gen boolean --n 2 -o {out}", False),
+    ("suite --random-count 0", True),
+]
+
+#: sha256 of [exit code, stdout, stderr, the file written to {out}] per
+#: call, with the temporary directory shown as <tmp> and suite timings as <s>.
+CLI_DIGESTS = {
+    "validate {d12}":
+        "687401545f34019d0ffc254f15fdc3b8dbf8f308e73fc3c3a3830e0bd049f611",
+    "validate {d12} --json":
+        "d4cb3252a38f0af99b83961f5be76ce0e97058c6131897a991b038bc209cdda1",
+    "validate {bowtie}":
+        "5e80c0bfe3672e6c39c1a9d6287202e4e4abca329e7146abc1bd0d1dba3ee34f",
+    "validate {bowtie} --json":
+        "125767849e0d0fbb814cb7ff4f217d7b093cf6b48053ffbe3a30b062c1b181a8",
+    "complements {d12} -x 4":
+        "5e8d24fe6736a9b9aa90e0fe46b59cec58502ddce0dbdf56c43b04bac2afc43b",
+    "complements {d12} -x 4 --json":
+        "08c79bd99d7080171603045548328feac47837df8d973e4f436ec61768b974d7",
+    "complements {d12} -x 9":
+        "aefc0c129b14bb569f30d285fc1e82e5120f6cd061eaa81364dbe04bafb23545",
+    "complements {d12} -x 9 --json":
+        "dc214a14f00c7472579837c8d77449cd89005872c6493b75de266c46a3e7fe3d",
+    "certify {d12} -x 2":
+        "af97c0a6a2dd5ec7c9a2d40bd4819d1fa7bd5b62ca9e4ed15159538ccf37596a",
+    "certify {d12} -x 2 --json":
+        "40049b70a5e4f81c4072b3e4e0d7cd4fa64a58fe6df6386e40f836873d222b70",
+    "certify {d12} -x 2 -o {out}":
+        "401e1fe4d526fd8e7304a7af6ed55516c531f78ced3a3b7e6be72ec450c81298",
+    "certify {d12} -x 2 -o {out} --json":
+        "3a6d84b2736bf9613e8ba67c4adf75752bef13459130b8a3d3e091e14c348034",
+    "verify {d12} -x 2 --cert {cert}":
+        "4e31b6ed20c4db5aac194a669d0e01f6628ebcb7565b91bf9215646cdeb003ac",
+    "verify {d12} -x 2 --cert {cert} --json":
+        "4bb2f810554a21279bbc9cb3ddef90343d73a759c6650a00f92f6dbbb4037727",
+    "verify {d12} -x 4 --cert {cert}":
+        "c144a9ddef98676a713011f7a51ef5816bcc3e58b47fa1b30827b53646e1b56f",
+    "verify {d12} -x 4 --cert {cert} --json":
+        "4e890253c96ca06921af30d1227879f43403f34245bb7bad34ca9990faf0c7d8",
+    "collapse {d12} -x 2":
+        "03a13bf6db624038e90a73ccc6ce5afdcce0022e137239e0077035c76d764784",
+    "collapse {d12} -x 2 --json":
+        "e2234c8a4e45bb53602f7d3390ba257e6b4f2a4565b257d24eb6ee25b8e7c3dc",
+    "collapse {d12} -x 2 -o {out}":
+        "72e61f02b5e3af4e021022fa0596c6cf36c6585a71edea49e23daf6c806a1993",
+    "collapse {d12} -x 2 -o {out} --json":
+        "b8b08e3cb2fc864b88faa240998d184a6c9a279321a4d3b3888f0decaab23c41",
+    "strategy {d12} -x 2":
+        "2a5f0ceeabd4c2fc2bf6f6d47d8158d0aade0a7565ae864298e16bc4abb0ee4a",
+    "strategy {d12} -x 2 --json":
+        "83fcbbe18801fc8e32a7e537d0864e9146c90caa78ce33116297962605f91934",
+    "strategy {d12} -x 2 -o {out}":
+        "edd5e1a303851d5aa894eef440aef1e246536cf5a59aad7e348dabec7fa731a9",
+    "strategy {d12} -x 2 -o {out} --json":
+        "66f4a76fd7d09c708e2505ca7eebd0ab6f0c16f882e6c341d35f5810868b1e77",
+    "game {d12} -x 2 --exhaustive":
+        "721f58424f80cc8ae1953375e76710ae8ae1af99d049ee0014a61e159dcd4712",
+    "game {d12} -x 2 --exhaustive --json":
+        "e433f12693cb75af1ea5c219451c986b62aba3c971803b3ffba8d9500390188e",
+    "game {d12} -x 2 --exhaustive --cap-game 2":
+        "4fb0032e11918d4ef84a77e211c036dbbabdaf958e5c1eeb29d962456c028fa4",
+    "game {d12} -x 2 --exhaustive --cap-game 2 --json":
+        "858595fe8eae423773daa64e38deacbc09e9c32c491eaff9dd4728021f1b88f9",
+    "game {d12} -x 2 --hidden 2,6":
+        "e7a842b23b1841567331ec459b656dfed6c4c0c6009b75c4a3ae8fd4dd9b0d6e",
+    "game {d12} -x 2 --hidden 2,6 --json":
+        "a13e75058d60ec08f5daf6e16277d373cc3a3fc13b27aa1b8c01afd64a965c0c",
+    "game {d12} -x 2 --hidden 5":
+        "192f554bea2c94a73d3e1834b091e5ff84a6c941c6037a2b2074a8f00810f100",
+    "game {d12} -x 2 --hidden 5 --json":
+        "50311ea57575657f945897e0c38ab8bc69c035ea248af42ed02002bd0b0e936d",
+    "mobius {d12}":
+        "bd954c84b821a4701a475355d8f8dd1128d69c964d90ff988f79483430de026e",
+    "mobius {d12} --json":
+        "9be4fcd2ffd809e84495cfe99a64c36a7fbaa2c31785c403a717606d168a6c8f",
+    "oracle {d12} -x 2 --check nonevasive":
+        "47ad4bffe61113bc80dfc4b8a53991565c1a6dbcfd5e2bf543e0a008c09b759f",
+    "oracle {d12} -x 2 --check nonevasive --json":
+        "b66bf2bbfe6f8b8c63311de65c5d4dc3b740385ad7046686844c0bdfb35b0177",
+    "oracle {d12} -x 2 --check collapsible --cap-faces 1":
+        "7c2bba68820f90ebae3b3edc796f964021645994bda9d155d261f78a47688ed5",
+    "oracle {d12} -x 2 --check collapsible --cap-faces 1 --json":
+        "05d4857311d3de144b02357ce268e7c36bd03cf2e20d87f04213157cad311f16",
+    "oracle {hollow} --complex --check collapsible":
+        "d8ffb9dd88c2da09b2f68a5c49b524412489f9ba116d926013ba0d07739c5b3e",
+    "oracle {hollow} --complex --check collapsible --json":
+        "9ce49e8703e28c42d979559213969176b7ec4d161e3e58f93530c48e6d9277a3",
+    "oracle {d12} --check nonevasive":
+        "d7f1f11967684c1e5ea9371afffdd5350de00c7a6bc68d8e1e15ee916e55207d",
+    "oracle {d12} --check nonevasive --json":
+        "50ada6d0852692ad6571ec0cdc8c34d18ac34e29ded9fbe564c6ec50e33988a8",
+    "gen divisor --n 12":
+        "5a52010cd6eb6305ec050a5c061d989f8da7fb5b257f7c23b53283f8da0d6fd9",
+    "gen divisor --n 12 --json":
+        "b29543f1e8127f0864131f50af79cbeaf2f7913e1a2b4aac7bd12eeb6b016acc",
+    "gen divisor --n 1000000001":
+        "267c2df7488afbfd24a133d7cc7764d5fc66b0025918028a461c1529a0a08763",
+    "gen divisor --n 1000000001 --json":
+        "e350245ec14a489c4ed38d4f2fb248dd0551bf8acd93f8d37205a6be2ace4264",
+    "gen boolean --n 2 -o {out}":
+        "92fa9d22d4d7b9909169610a0703d815d3cbea2381594f448ef12b243ad4aed4",
+    "suite --random-count 0":
+        "830bffd3fa5b9f1ffe6d8545b7c3498bc776ce635741a8a687a6bf7dd02db18a",
+    "suite --random-count 0 --json":
+        "0a8e1b7751a2aa4f0cb48deeb0235bbb85df84dba6752baae4e0c9c08aa1f0b3",
+}
+
+
+def test_cli_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("NONEVADE_CAPS", raising=False)
+    files = {"d12": tmp_path / "d12.lat", "bowtie": tmp_path / "bowtie.lat",
+             "hollow": tmp_path / "hollow.json", "cert": tmp_path / "cert.json",
+             "out": tmp_path / "out"}
+    files["d12"].write_text(D12)
+    files["bowtie"].write_text(BOWTIE_TEXT)
+    files["hollow"].write_text(json.dumps(HOLLOW))
+    main(["certify", str(files["d12"]), "-x", "2", "-o", str(files["cert"])])
+    capsys.readouterr()
+    names = {key: str(path) for key, path in files.items()}
+    digests = {}
+    for call, both in PINNED_CALLS:
+        for argv in [call, call + " --json"][:1 + both]:
+            code = main(argv.format(**names).split())
+            out, err = capsys.readouterr()
+            written = files["out"].read_text() if files["out"].exists() else None
+            files["out"].unlink(missing_ok=True)
+            out = re.sub(r'\(\d+\.\d+s\)|(?<="seconds": )[0-9.e-]+', "<s>", out)
+            masked = json.dumps([code, out, err, written]).replace(str(tmp_path), "<tmp>")
+            digests[argv] = hashlib.sha256(masked.encode()).hexdigest()
+    assert digests == CLI_DIGESTS

@@ -20,6 +20,7 @@ from nonevade.errors import (
 )
 from nonevade.corpus import BOWTIE_TEXT, M3_TEXT, N5_TEXT, named_corpus, random_corpus
 from nonevade.lattice import (
+    MAX_ELEMENTS,
     Lattice,
     Poset,
     _meets_exist,
@@ -102,6 +103,20 @@ def test_parse_rejects_unknown_cover_labels():
         parse_lattice("elements: a b\ncover: a q\n")
 
 
+#: JSON text that does not decode: nesting deeper than any CPython's
+#: recursion limits, and an integer longer than CPython converts.
+UNDECODABLE_JSON = [
+    '{"elements": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    '{"elements": ["a"], "covers": [[' + "1" * 5000 + "]]}",
+]
+
+
+@pytest.mark.parametrize("text", UNDECODABLE_JSON, ids=["deep", "long-int"])
+def test_parse_undecodable_json_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="^invalid JSON lattice document: "):
+        parse_lattice(text)
+
+
 def test_parse_requires_unique_bottom():
     text = "elements: a b 1\ncover: a 1\ncover: b 1\n"
     with pytest.raises(NoUniqueBottom):
@@ -155,6 +170,12 @@ def test_bad_labels_rejected():
         Poset.from_covers(["a", "a"], [])
     with pytest.raises(ParseError):
         Poset.from_covers(["a", "a#b"], [])
+
+
+def test_from_covers_refuses_more_than_max_elements_before_any_work():
+    labels = [f"e{i}" for i in range(MAX_ELEMENTS + 1)]
+    with pytest.raises(ParamOutOfRange, match="^65537 elements exceeds the cap of 65536$"):
+        Poset.from_covers(labels, [])
 
 
 def _accepted(label):
