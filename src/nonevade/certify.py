@@ -535,7 +535,7 @@ def verify_certificate(complex_, certificate):
     return _verify((complex_, certificate, ()))
 
 
-@partial(_iterative, key=lambda args: (id(args[1]), args[0]._vmask, args[0]._facets))
+@partial(_iterative, key=lambda args: (id(args[1]), args[0]._facets))
 def _verify(args):
     c, node, path = args
     vmask = c._vmask

@@ -318,11 +318,7 @@ def cmd_gen(args):
 
 
 def cmd_suite(args):
-    report = suite_mod.run_suite(
-        random_count=args.random_count,
-        nonevasive_cap=args.caps.nonevasive,
-        game_cap=args.caps.game,
-    )
+    report = suite_mod.run_suite(random_count=args.random_count)
     _emit(args, report.to_obj(), [report.format_text()])
     return EXIT_OK if report.ok else EXIT_SEMANTIC
 
@@ -402,8 +398,6 @@ def build_parser():
     gen_p.add_argument("-o", "--output", help="write the lattice file here")
     suite_p = command(cmd_suite, "run the full corpus cross-check",
                       file=None, element=False)
-    suite_p.add_argument("--cap-nonevasive", type=int)
-    suite_p.add_argument("--cap-game", type=int)
     suite_p.add_argument("--random-count", type=int, default=500,
                          help="number of seeded random lattices")
     return parser

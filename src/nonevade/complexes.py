@@ -7,9 +7,13 @@ and the frozenset of its maximal faces (facets), and ``vertices`` and
 ``facets`` are label views made on each read.  ``order_complex`` takes the
 root lattice's own positions, labels and ranks as the ground, so every
 complex derived from one root (the certified complex of any sublattice
-view, and every link and deletion of it) shares that ground and equality
-is a comparison of ints.  Complexes on different grounds compare and hash
-by their labels.
+view, and every link and deletion of it) shares that ground.
+
+A complex is its facets.  The constructor, ``link``, ``deletion`` and
+``order_complex`` each guarantee that every vertex lies in a facet, so
+the facets fix the vertex mask too: equality, hashing and every memo key
+read facets only, as masks on a shared ground and as label sets across
+grounds.
 
 Link and deletion need no maximality pass.  Distinct facets f, g through
 a vertex v are incomparable, and so are f - v and g - v, since either
@@ -19,7 +23,7 @@ v stay facets and no shrunk facet f - v contains one of them (it would lie
 in f); a shrunk facet is a facet unless it lies in a kept one, and that
 is the only test made.
 
-The full face list is materialised and cached lazily when Euler
+The full face list is made on demand, a new set on each call, when Euler
 characteristics, collapse replays or the collapse search need it.  The
 empty face is implicit and never listed.
 """
@@ -50,7 +54,7 @@ class Complex:
     faces), and no facet may contain another.
     """
 
-    __slots__ = ("_label", "_pos", "_rank", "_vmask", "_facets", "_face_masks")
+    __slots__ = ("_label", "_pos", "_rank", "_vmask", "_facets")
 
     def __init__(self, vertices, faces):
         vertices = tuple(vertices)
@@ -81,7 +85,7 @@ class Complex:
 
     def _init(self, label, pos, rank, vmask, facets):
         self._label, self._pos, self._rank = label, pos, rank
-        self._vmask, self._facets, self._face_masks = vmask, facets, None
+        self._vmask, self._facets = vmask, facets
 
     def _derive(self, vmask, facets):
         """A complex on the same ground."""
@@ -117,14 +121,11 @@ class Complex:
         if not isinstance(other, Complex):
             return False
         if self._label is other._label:
-            return self._vmask == other._vmask and self._facets == other._facets
-        return (
-            set(self.vertices) == set(other.vertices)
-            and self.facets == other.facets
-        )
+            return self._facets == other._facets
+        return self.facets == other.facets
 
     def __hash__(self):
-        return hash((frozenset(self.vertices), self.facets))
+        return hash(self.facets)
 
     def __repr__(self):
         return (
@@ -133,26 +134,22 @@ class Complex:
         )
 
     def _face_mask_set(self, cap=inf):
-        """Every nonempty face as a mask, cached once listed in full.  Over
+        """Every nonempty face as a mask, in a new set on each call.  Over
         ``cap`` faces raise CapExceeded, facet by facet and a facet too big
-        alone before listing it, so at most 2·cap are listed and none kept."""
-        faces = self._face_masks
-        if faces is None:
-            faces = set()
-            for f in self._facets:
-                if (1 << f.bit_count()) - 1 > cap:
-                    break
-                s = f
-                while s:
-                    faces.add(s)
-                    s = (s - 1) & f
-                if len(faces) > cap:
-                    break
-            else:
-                self._face_masks = faces = frozenset(faces)
-        if faces is not self._face_masks or len(faces) > cap:
-            raise CapExceeded(f"the complex has more than the cap of {cap} faces")
-        return faces
+        alone before listing it, so at most 2·cap are listed."""
+        faces = set()
+        for f in self._facets:
+            if (1 << f.bit_count()) - 1 > cap:
+                break
+            s = f
+            while s:
+                faces.add(s)
+                s = (s - 1) & f
+            if len(faces) > cap:
+                break
+        else:
+            return faces
+        raise CapExceeded(f"the complex has more than the cap of {cap} faces")
 
     def face_count(self):
         return len(self._face_mask_set())
@@ -319,7 +316,7 @@ def replay_collapses(complex_, sequence):
     surviving complex is not exactly the stated final vertex; returns the
     final (single-point) complex otherwise.
     """
-    faces = set(complex_._face_mask_set())
+    faces = complex_._face_mask_set()
     mask, vmask = complex_._mask, complex_._vmask
     for index, pair in enumerate(sequence.pairs):
         free = mask(pair.free_face)

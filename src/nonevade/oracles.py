@@ -3,7 +3,9 @@ collapsibility, the Möbius function, and complementation scans.
 
 These are deliberately independent of the certifier so the two sides can
 cross-check each other.  Everything is deterministic; memo tables are
-per-call unless the caller passes one in to share across a batch.
+per-call unless the caller passes one in to share across a batch, and a
+shared memo is keyed on a complex's facets as label sets, so equal
+complexes on any vertex ground share an entry.
 """
 
 from __future__ import annotations
@@ -19,16 +21,6 @@ NONEVASIVE_CAP = 12
 COLLAPSE_FACE_CAP = 1 << 14
 
 
-def memo_key(complex_):
-    """Canonical serialisation of a complex: equal complexes, equal keys."""
-    label = complex_._label.__getitem__
-
-    def names(mask):
-        return tuple(sorted(map(label, _bits(mask))))
-
-    return names(complex_._vmask), tuple(sorted(map(names, complex_._facets)))
-
-
 def brute_nonevasive(complex_, cap=NONEVASIVE_CAP, memo=None):
     """Literal recursion: one vertex, or some vertex whose deletion and
     link are both nonevasive.  An isolated vertex fails its link branch.
@@ -42,8 +34,8 @@ def brute_certificate(complex_, cap=NONEVASIVE_CAP, memo=None):
     The definitional recursion behind brute_nonevasive, returning a
     witness tree (or None).  The Split nodes carry a synthetic
     mode/link-element, since no lattice is involved; verification ignores
-    both.  ``memo`` is keyed on memo_key, so it can be shared across
-    complexes on different vertex grounds.
+    both.  ``memo`` is keyed on ``Complex.facets``, the label sets, so it
+    can be shared across complexes on different vertex grounds.
     """
     n = complex_._vmask.bit_count()
     if n > cap:
@@ -54,16 +46,16 @@ def brute_certificate(complex_, cap=NONEVASIVE_CAP, memo=None):
 
 
 # every link and deletion shares the ground of the complex searched, so
-# within one search a subcomplex is known by its masks, and memo_key is
-# built once per subcomplex
-@partial(_iterative, key=lambda args: (args[0]._vmask, args[0]._facets))
+# within one search a subcomplex is known by its facet masks, and its label
+# facets are built once per subcomplex
+@partial(_iterative, key=lambda args: args[0]._facets)
 def _brute_cert(args):
     """The search step on (complex, memo); a recursive call yields the
     deletion or the link with the same memo."""
     c, memo = args
     if not c._vmask & (c._vmask - 1):
         return Leaf(c._label[c._vmask.bit_length() - 1])
-    key = memo_key(c)
+    key = c.facets
     if key in memo:
         return memo[key]
     found = None

@@ -27,7 +27,6 @@ from .corpus import full_corpus, random_complexes
 from .errors import NonevadeError
 from .lattice import generate
 from .oracles import (
-    NONEVASIVE_CAP,
     brute_certificate,
     brute_nonevasive,
     find_noncomplemented_element,
@@ -143,18 +142,17 @@ def _criterion(key, title):
 
 
 @_criterion("C2", "oracle equivalence")
-def criterion_oracle_equivalence(run, nonevasive_cap=NONEVASIVE_CAP):
+def criterion_oracle_equivalence(run):
     """2: the brute oracle accepts every certified complex, and on random
     complexes every certificate its search finds verifies."""
     failures = []
     memo = {}
     checked = 0
-    limit = min(10, nonevasive_cap)  # the criterion's own bound is 10
     for name, lattice, x, cert, complex_ in run.instances:
-        if len(complex_.vertices) > limit:
+        if len(complex_.vertices) > 10:  # the criterion's own bound
             continue
         checked += 1
-        if not brute_nonevasive(complex_, cap=limit, memo=memo):
+        if not brute_nonevasive(complex_, memo=memo):
             failures.append(f"{name}/{x}: brute oracle says evasive")
     nev_count = 0
     complexes = random_complexes()
@@ -190,18 +188,17 @@ def criterion_collapse_extraction(run):
 
 
 @_criterion("C4", "query bound")
-def criterion_query_bound(run, game_cap=chain_game.GAME_CAP):
+def criterion_query_bound(run):
     """4: the strategy decides every hidden subset within |ground|-1 queries."""
     failures = []
     checked = 0
     for name, lattice, x, cert, complex_ in run.instances:
         ground = complex_.vertices
-        if len(ground) > game_cap:
+        if len(ground) > chain_game.GAME_CAP:
             continue
         checked += 1
         strategy = chain_game.compile_strategy(cert, ground)
-        report = chain_game.exhaustive_check(strategy, ground, lattice.leq,
-                                             cap=game_cap)
+        report = chain_game.exhaustive_check(strategy, ground, lattice.leq)
         if report.mismatches:
             failures.append(f"{name}/{x}: {report.mismatches} verdict mismatches")
         if report.max_queries > len(ground) - 1 and len(ground) > 0:
@@ -271,14 +268,13 @@ def criterion_spot_checks():
     return "divisor-12 root, boolean-2 prune, mobius values", failures
 
 
-def run_suite(random_count=500, nonevasive_cap=NONEVASIVE_CAP,
-              game_cap=chain_game.GAME_CAP):
+def run_suite(random_count=500):
     run = CorpusRun(random_count=random_count)
     outcomes = [
         criterion_certification(run),
-        criterion_oracle_equivalence(run, nonevasive_cap=nonevasive_cap),
+        criterion_oracle_equivalence(run),
         criterion_collapse_extraction(run),
-        criterion_query_bound(run, game_cap=game_cap),
+        criterion_query_bound(run),
         criterion_mobius_vanishing(run),
         criterion_proof_identities(run),
         criterion_spot_checks(),

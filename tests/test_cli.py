@@ -429,6 +429,24 @@ def test_suite_smoke(capsys):
     assert out.count("[PASS]") == 7
 
 
+def test_suite_criteria_are_fixed_gates(capsys, monkeypatch):
+    # no cap reaches the suite: it takes no cap flag, and NONEVADE_CAPS
+    # leaves every criterion's checked counts as they are
+    code, _, err = run(capsys, "suite", "--random-count", "0", "--cap-game", "2",
+                       "--json")
+    assert code == 2 and json.loads(err)["error"]["type"] == "ParseError"
+
+    def details():
+        code, out, _ = run(capsys, "suite", "--random-count", "0", "--json")
+        assert code == 0
+        return [c["detail"] for c in json.loads(out)["criteria"]]
+
+    monkeypatch.delenv("NONEVADE_CAPS", raising=False)
+    plain = details()
+    monkeypatch.setenv("NONEVADE_CAPS", "game=1,nonevasive=1")
+    assert details() == plain
+
+
 def test_suite_json(capsys):
     code, out, _ = run(capsys, "suite", "--random-count", "2", "--json")
     assert code == 0

@@ -258,6 +258,16 @@ def test_replay_reports_reasons():
     assert err.value.reason == "wrong-coface"
 
 
+def test_replaying_twice_leaves_the_complex_whole():
+    # each replay removes faces from a face set of its own
+    c = path_complex()
+    s = seq([({"3"}, {"3", "6"}), ({"4"}, {"2", "4"}), ({"6"}, {"2", "6"})], "2")
+    assert c.face_count() == 7
+    for _ in range(2):
+        assert replay_collapses(c, s) == Complex(["2"], [{"2"}])
+    assert c.face_count() == 7
+
+
 def test_replay_mismatch_when_final_wrong():
     c = Complex("ab", [{"a", "b"}])
     with pytest.raises(ReplayMismatch):

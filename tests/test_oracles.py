@@ -13,7 +13,7 @@ from nonevade.certify import (
     verify_certificate,
 )
 from nonevade.complexes import Complex, order_complex, replay_collapses
-from nonevade.corpus import named_corpus, random_complexes
+from nonevade.corpus import full_corpus, named_corpus, random_complexes
 from nonevade.errors import CapExceeded, EmptyLink
 from nonevade.lattice import generate, parse_lattice
 from nonevade.corpus import M3_TEXT, N5_TEXT
@@ -22,7 +22,6 @@ from nonevade.oracles import (
     brute_collapsible,
     brute_nonevasive,
     find_noncomplemented_element,
-    memo_key,
     mobius,
 )
 
@@ -71,10 +70,15 @@ def test_shared_memo_is_keyed_on_labels_not_masks():
         cert = brute_certificate(complex_, memo=memo)
         assert verify_certificate(complex_, cert).ok
         assert len(memo) == size
-    # equal complexes on different grounds share every entry
+    # equal complexes on different grounds share every entry: the path
+    # again, and its deletion of a as an edge on either vertex order
     reordered = Complex("cba", [{"a", "b"}, {"b", "c"}])
     cert = brute_certificate(reordered, memo=memo)
     assert verify_certificate(reordered, cert).ok
+    assert len(memo) == 4
+    for ground in ("bc", "cb"):
+        edge = Complex(ground, [set(ground)])
+        assert brute_certificate(edge, memo=memo) is memo[edge.facets]
     assert len(memo) == 4
     # a hollow triangle adds itself, three pairs of points and two edges:
     # its third edge is the path's deletion of a (or of x)
@@ -93,12 +97,6 @@ def test_certificate_search_runs_at_any_depth():
     cert = brute_certificate(simplex, cap=2000)
     assert cert is not None
     assert verify_certificate(simplex, cert).ok
-
-
-def test_memo_key_equal_complexes():
-    one = Complex(["a", "b"], [{"a", "b"}])
-    two = Complex(["b", "a"], [{"b", "a"}])
-    assert memo_key(one) == memo_key(two)
 
 
 # --- collapsibility --------------------------------------------------------------
@@ -157,8 +155,8 @@ def test_collapse_cap_refuses_before_listing_faces():
     assert time.perf_counter() - start < 1.0
 
 
-def test_collapse_cap_checks_a_cached_face_set():
-    # face_count lists and caches all 63 faces of the 5-simplex first
+def test_collapse_cap_refuses_after_the_faces_were_counted():
+    # face_count lists all 63 faces of the 5-simplex first
     c = order_complex(generate("chain", 8).interior_set())
     assert c.face_count() == 63
     with pytest.raises(CapExceeded, match="more than the cap of 62 faces"):
@@ -172,7 +170,7 @@ def test_collapse_cap_equal_to_the_face_count_is_accepted():
     replay_collapses(c, seq)
 
 
-def test_refused_face_listing_caches_nothing():
+def test_refused_face_listing_leaves_the_face_count_whole():
     # each tetrahedron alone fits the cap, the two together do not
     c = Complex("abcdef", [set("abcd"), set("cdef")])
     with pytest.raises(CapExceeded, match="more than the cap of 20 faces"):
@@ -323,12 +321,19 @@ def test_brute_certificate_agrees_with_brute_nonevasive():
     assert certified and nonzero
 
 
+def label_key(c):
+    """The shared memo's key before it was the label facets: sorted vertex
+    labels and sorted facet label lists."""
+    return (tuple(sorted(c.vertices)),
+            tuple(sorted(tuple(sorted(f)) for f in c.facets)))
+
+
 def reference_certificate(c, memo):
     """The certificate search before brute_certificate kept a per-call
-    cache in front of the shared memo."""
+    cache in front of the shared memo, on the sorted-label key."""
     if len(c.vertices) == 1:
         return Leaf(c.vertices[0])
-    key = memo_key(c)
+    key = label_key(c)
     if key in memo:
         return memo[key]
     found = None
@@ -354,7 +359,29 @@ def test_certificate_search_matches_the_reference():
     for name, c in random_complexes(count=300):
         assert brute_certificate(c, memo=memo) == reference_certificate(
             c, reference_memo), name
-    assert memo.keys() == reference_memo.keys()
+    # the facet key tells complexes apart exactly as the label key did
+    assert memo.keys() == {frozenset(map(frozenset, facets))
+                           for _, facets in reference_memo}
+    assert len(memo) == len(reference_memo)
+
+
+def test_shared_memo_entries_and_verdicts_are_pinned():
+    # one memo across many grounds, as C2 shares it: every certified
+    # complex of the corpus with at most 10 vertices, then the random ones;
+    # the entry count and the nonevasive names were taken on the
+    # sorted-label key
+    memo = {}
+    for _, lat in full_corpus(100):
+        for x in lat.interior():
+            c = certificate_complex(lat, x)
+            if len(c.vertices) <= 10:
+                assert brute_nonevasive(c, memo=memo), x
+    nonevasive = [name for name, c in random_complexes()
+                  if brute_nonevasive(c, memo=memo)]
+    assert len(memo) == 8998
+    assert nonevasive == [f"complex-s{s}" for s in (
+        777, 779, 780, 781, 782, 785, 787, 791, 792, 799, 801, 802, 803,
+        809, 811, 812, 815, 820, 821, 822, 826)]
 
 
 def test_certifier_matches_oracle_on_divisors():
