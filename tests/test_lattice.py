@@ -849,31 +849,6 @@ def test_mobius_on_views_matches_the_recursion_on_labels():
             assert mobius(view) == _mobius_from_bottom(view)[view.top], name
 
 
-def _number_mobius(n):
-    """The number-theoretic Möbius function, by trial division."""
-    mu, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    return -mu if n > 1 else mu
-
-
-def test_mobius_closed_forms():
-    cases = [(generate("boolean", n), (-1) ** n) for n in range(9)]
-    cases += [(generate("partition", n), (-1) ** (n - 1) * math.factorial(n - 1))
-              for n in range(1, 7)]
-    cases += [(generate("chain", n), mu) for n, mu in ((1, 1), (2, -1), (3, 0))]
-    cases += [(generate("divisor", n), _number_mobius(n)) for n in (720720, 510510)]
-    cases.append((generate("product", left="boolean:4", right="partition:4"), -6))
-    assert [_number_mobius(n) for n in (720720, 510510)] == [0, -1]
-    for lat, mu in cases:
-        assert mobius(lat) == mu == mobius(lat.dual()), lat
-
-
 def _assert_crapo(lat):
     from_bottom = _mobius_from_bottom(lat)
     to_top = _mobius_from_bottom(lat.dual())

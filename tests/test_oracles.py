@@ -1,3 +1,4 @@
+import math
 import sys
 import time
 from itertools import combinations
@@ -13,9 +14,9 @@ from nonevade.certify import (
     verify_certificate,
 )
 from nonevade.complexes import Complex, order_complex, replay_collapses
-from nonevade.corpus import full_corpus, named_corpus, random_complexes
+from nonevade.corpus import full_corpus, named_corpus, random_complexes, random_corpus
 from nonevade.errors import CapExceeded, EmptyLink
-from nonevade.lattice import generate, parse_lattice
+from nonevade.lattice import _bits, generate, parse_lattice
 from nonevade.corpus import M3_TEXT, N5_TEXT
 from nonevade.oracles import (
     brute_certificate,
@@ -274,6 +275,79 @@ def test_mobius_squarefree_divisor():
 def test_mobius_dual_invariant():
     for name, lat in named_corpus():
         assert mobius(lat) == mobius(lat.dual())
+
+
+def reference_mobius(lattice):
+    """mobius before the bit planes: the recursion summed value by value,
+    one step per comparable pair with a nonzero value."""
+    P = lattice.poset
+    bottom, top = lattice._bounds
+    members = P._mask & ~(1 << bottom)
+    values, nonzero = {bottom: 1}, 1 << bottom
+    for p in sorted(_bits(members), reverse=True) if P._rev else _bits(members):
+        mu = -sum(values[q] for q in _bits(P._down[p] & nonzero))
+        if mu:
+            values[p] = mu
+            nonzero |= 1 << p
+    return values.get(top, 0)
+
+
+def test_mobius_matches_the_reference():
+    lattices = [lat for _, lat in named_corpus() + random_corpus(count=150)]
+    lattices += [generate("random", n, p=p, seed=seed)
+                 for n, p in ((6, 0.3), (10, 0.3), (12, 0.2), (16, 0.1))
+                 for seed in range(25)]
+    values = set()
+    for lat in lattices:
+        for view in (lat, lat.dual()):
+            mu = mobius(view)
+            assert mu == reference_mobius(view), view
+            values.add(mu)
+    # both signs, with values that need several planes
+    assert min(values) == -6 and max(values) == 10
+
+
+def number_mobius(n):
+    """The number-theoretic Möbius function, by trial division."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+def test_mobius_closed_forms():
+    cases = [(generate("boolean", n), (-1) ** n) for n in range(11)]
+    # (n-1)! takes up to ten planes, with both signs along the way
+    cases += [(generate("partition", n), (-1) ** (n - 1) * math.factorial(n - 1))
+              for n in range(1, 8)]
+    cases += [(generate("chain", n), mu)
+              for n, mu in ((1, 1), (2, -1), (3, 0), (4, 0), (5, 0))]
+    divisors = (1, 2, 12, 30, 210, 360, 2310, 510510, 720720)
+    cases += [(generate("divisor", n), number_mobius(n)) for n in divisors]
+    assert [number_mobius(n) for n in (1, 720720, 510510)] == [1, 0, -1]
+    for lat, mu in cases:
+        assert mobius(lat) == mu == mobius(lat.dual()), lat
+    # the one-element lattice: bottom is top
+    one = generate("chain", 1)
+    assert one.bottom == one.top and mobius(one) == 1
+
+
+def test_mobius_is_multiplicative_on_products():
+    factors = [generate("chain", 2), generate("chain", 3),
+               generate("boolean", 2), generate("partition", 3),
+               generate("partition", 4), generate("divisor", 12),
+               parse_lattice(M3_TEXT), parse_lattice(N5_TEXT)]
+    for left in factors:
+        for right in factors:
+            product = generate("product", left=left, right=right)
+            mu = mobius(left) * mobius(right)
+            assert mobius(product) == mu == reference_mobius(product)
+    assert mobius(generate("product", left="boolean:4", right="partition:4")) == -6
 
 
 # --- complementation scan --------------------------------------------------------------
