@@ -1,15 +1,16 @@
 """Compile certificates into membership-query strategies for the chain game.
 
 A hidden subset of the certified vertex set is probed with questions
-"is this vertex in the set?"; the compiled strategy decides whether the
-subset is a chain using at most |ground| - 1 questions.
+"is this vertex in the set?"; the compiled strategy, one DAG of Query and
+Answer nodes that every walker plays as it is, decides whether the subset
+is a chain using at most |ground| - 1 questions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certify import Leaf, Prune, _fold, _Node, _parser, _to_obj, certificate_ground
+from .certify import Leaf, Prune, _fold, _Node, _parser, _to_obj
 from .errors import CapExceeded, GroundMismatch
 
 GAME_CAP = 16
@@ -25,6 +26,9 @@ class Query(_Node, wire="query"):
     vertex: str
     yes: object
     no: object
+
+
+_YES, _NO = Answer(True), Answer(False)
 
 
 @dataclass(frozen=True)
@@ -66,38 +70,46 @@ def compile_strategy(certificate, ground):
     link's vertex set.  A Leaf answers yes without a question, which is
     what keeps the budget one below the ground size.
 
-    A node's vertex set is its Leaf's vertex, or its Prune child's set, or
-    its Split vertex plus its deletion child's set, which must hold the
-    link child's set; so one fold builds each distinct node's strategy and
-    vertex set once, and a certificate DAG gives a strategy DAG.
+    A node's vertex set, a mask over the positions of ``ground``, is its
+    Leaf's vertex, or its Prune child's set, or its Split vertex plus its
+    deletion child's set, which must hold the link child's set; so one fold
+    builds each distinct node's strategy and vertex set once, a certificate
+    DAG gives a strategy DAG, and the root's set must be the whole ground.
+    Every answer is one of the two shared ``_YES`` and ``_NO``.
     """
     ground = tuple(ground)
-    order = {v: i for i, v in enumerate(ground)}
-    implied = certificate_ground(certificate)
-    if implied != order.keys() or len(order) < len(ground):
-        raise GroundMismatch(
-            f"certificate covers {sorted(implied)}, ground is {sorted(ground)}"
-        )
+    # a repeated vertex keeps its last position, so the root's set misses
+    # the others and the ground is refused
+    bit = {v: 1 << i for i, v in enumerate(ground)}
 
     def visit(node, *kids):
-        # (strategy, vertex set) of the subtree under node
+        # (strategy, vertex mask) of the subtree under node
         if isinstance(node, Prune):
             return kids[0]
         y = node.vertex
-        if y not in order:
+        if y not in bit:
             raise GroundMismatch(f"certificate vertex {y!r} is off the ground")
         if isinstance(node, Leaf):
-            return Answer(True), frozenset((y,))
+            return _YES, bit[y]
         (no, rest), (yes, link) = kids
-        if y in rest:
+        if rest & bit[y]:
             raise GroundMismatch(f"split vertex {y!r} recurs in its deletion child")
-        if not link <= rest:
+        if link & ~rest:
             raise GroundMismatch(f"link vertices at {y!r} escape the deletion child")
-        for dead in sorted(rest - link, key=order.__getitem__, reverse=True):
-            yes = Query(dead, Answer(False), yes)
-        return Query(y, yes, no), rest | {y}
+        dead = rest & ~link
+        while dead:
+            i = dead.bit_length() - 1
+            yes = Query(ground[i], _NO, yes)
+            dead ^= 1 << i
+        return Query(y, yes, no), rest | bit[y]
 
-    return _fold(certificate, visit)[0]
+    strategy, covered = _fold(certificate, visit)
+    if covered != (1 << len(ground)) - 1:
+        raise GroundMismatch(
+            f"certificate covers {sorted(v for v in ground if covered & bit[v])}, "
+            f"ground is {sorted(ground)}"
+        )
+    return strategy
 
 
 def play(strategy, hidden):
@@ -120,64 +132,47 @@ def exhaustive_check(strategy, ground, leq, cap=GAME_CAP):
 
     ``leq`` is the order predicate on ground elements; a subset is a chain
     when all its pairs are comparable.  Returns a GameReport whose mismatch
-    count must be zero for a correct strategy; a query about a vertex off
-    the ground raises GroundMismatch."""
+    count must be zero for a correct strategy.  A query about a vertex off
+    the ground raises GroundMismatch before any play, even one no play
+    reaches.  Subsets are masks over the positions of ``ground``, played in
+    increasing order; one is a chain iff it is empty, or is a chain without
+    its lowest vertex and that vertex is comparable to all of it, so a table
+    of 2^n bytes filled in the same loop decides each in one step."""
     ground = tuple(ground)
     n = len(ground)
-    if n > cap:
-        raise CapExceeded(f"ground of {n} exceeds the cap of {cap}")
-    index = {v: i for i, v in enumerate(ground)}
-    comparable = [0] * n
-    for i, u in enumerate(ground):
-        for j, v in enumerate(ground):
-            if leq(u, v) or leq(v, u):
-                comparable[i] |= 1 << j
+    check_game_cap(n, cap)
+    bit = {v: 1 << i for i, v in enumerate(ground)}
 
-    compiled = _flatten(strategy, index)
+    def known(node, *kids):
+        if kids and node.vertex not in bit:
+            raise GroundMismatch(f"strategy asks about {node.vertex!r}, off the ground")
+
+    _fold(strategy, known)
+    comparable = [sum(1 << j for j, v in enumerate(ground) if leq(u, v) or leq(v, u))
+                  for u in ground]
+    chain = bytearray(1 << n)
+    chain[0] = True
     mismatches = 0
-    max_queries = 0
     histogram = {}
     for mask in range(1 << n):
-        node = compiled
+        if mask:
+            low = mask & -mask
+            rest = mask ^ low
+            chain[mask] = chain[rest] and not rest & ~comparable[low.bit_length() - 1]
+        node = strategy
         count = 0
-        while node[0] == "q":
+        while type(node) is Query:
             count += 1
-            node = node[2] if mask & node[1] else node[3]
-        verdict = node[1]
-        is_chain = True
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            if mask & ~comparable[i]:
-                is_chain = False
-                break
-            m ^= low
-        if verdict != is_chain:
-            mismatches += 1
-        if count > max_queries:
-            max_queries = count
+            node = node.yes if mask & bit[node.vertex] else node.no
+        mismatches += node.is_chain != chain[mask]
         histogram[count] = histogram.get(count, 0) + 1
-    return GameReport(
-        ground_size=n,
-        subsets_tested=1 << n,
-        mismatches=mismatches,
-        max_queries=max_queries,
-        histogram=histogram,
-    )
+    return GameReport(n, 1 << n, mismatches, max(histogram), histogram)
 
 
-def _flatten(strategy, index):
-    """The strategy as nested tuples ("a", verdict) and ("q", vertex bit,
-    yes, no)."""
-    def visit(node, *kids):
-        if not kids:
-            return "a", node.is_chain
-        if node.vertex not in index:
-            raise GroundMismatch(f"strategy asks about {node.vertex!r}, off the ground")
-        return ("q", 1 << index[node.vertex], *kids)
-
-    return _fold(strategy, visit)
+def check_game_cap(size, cap):
+    """Refuse with CapExceeded a ground too large to play all its subsets."""
+    if size > cap:
+        raise CapExceeded(f"ground of {size} exceeds the cap of {cap}")
 
 
 def strategy_to_obj(strategy):

@@ -34,7 +34,7 @@ from .chain_game import (
     strategy_depth,
     strategy_to_obj,
 )
-from .complexes import Complex, order_complex
+from .complexes import Complex
 from .errors import (
     NonevadeError,
     ParamOutOfRange,
@@ -231,9 +231,11 @@ def cmd_strategy(args):
 
 
 def cmd_game(args):
-    lattice, cert, _ = _certified(args)
+    lattice = _load_lattice(args)
     ground = interior_members(lattice, args.element)
-    strategy = compile_strategy(cert, ground)
+    if args.exhaustive:
+        chain_game.check_game_cap(len(ground), args.caps.game)  # before certifying
+    strategy = compile_strategy(certify(lattice, args.element)[0], ground)
     if args.exhaustive:
         report = exhaustive_check(strategy, ground, lattice.leq,
                                   cap=args.caps.game)
@@ -261,11 +263,7 @@ def cmd_game(args):
 def cmd_mobius(args):
     lattice = _load_lattice(args)
     mu = mobius(lattice)
-    interior = lattice.interior()
-    if interior:
-        euler = order_complex(lattice.interior_set()).reduced_euler()
-    else:
-        euler = -1
+    euler = oracles.interior_euler(lattice)
     witness = find_noncomplemented_element(lattice)
     obj = {
         "mobius": mu,

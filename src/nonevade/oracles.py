@@ -1,5 +1,6 @@
 """Brute-force ground truth: definitional nonevasiveness, backtracking
-collapsibility, the Möbius function, and complementation scans.
+collapsibility, the Möbius function, the interior's reduced Euler
+characteristic, and complementation scans.
 
 These are deliberately independent of the certifier so the two sides can
 cross-check each other.  Everything is deterministic; memo tables are
@@ -15,7 +16,7 @@ from functools import partial
 
 from .certify import Leaf, Split, _iterative
 from .errors import CapExceeded
-from .complexes import CollapsePair, CollapseSequence
+from .complexes import CollapsePair, CollapseSequence, order_complex
 from .lattice import _bits
 
 NONEVASIVE_CAP = 12
@@ -161,6 +162,15 @@ def mobius(lattice):
             for b in _bits(abs(mu)):
                 planes[b][mu < 0] |= 1 << p
     return mu
+
+
+def interior_euler(lattice):
+    """Reduced Euler characteristic of the order complex of the interior,
+    by listing its faces; P. Hall's theorem says it equals the Möbius
+    value.  An empty interior has only the empty chain: -1."""
+    if not lattice._interior_mask():
+        return -1
+    return order_complex(lattice.interior_set()).reduced_euler()
 
 
 def find_noncomplemented_element(lattice):

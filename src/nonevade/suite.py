@@ -22,7 +22,6 @@ from .certify import (
     extract_collapses,
     verify_certificate,
 )
-from .complexes import order_complex
 from .corpus import full_corpus, random_complexes
 from .errors import NonevadeError
 from .lattice import generate
@@ -30,6 +29,7 @@ from .oracles import (
     brute_certificate,
     brute_nonevasive,
     find_noncomplemented_element,
+    interior_euler,
     mobius,
 )
 
@@ -216,11 +216,7 @@ def criterion_mobius_vanishing(run):
     noncomp = 0
     for name, lattice in run.corpus:
         mu = mobius(lattice)
-        interior = lattice.interior()
-        if interior:
-            euler = order_complex(lattice.interior_set()).reduced_euler()
-        else:
-            euler = -1  # empty complex: only the empty chain
+        euler = interior_euler(lattice)
         if euler != mu:
             failures.append(f"{name}: euler {euler} != mobius {mu}")
         if find_noncomplemented_element(lattice) is not None:

@@ -10,6 +10,7 @@ from nonevade.certify import (
     Leaf,
     Prune,
     Split,
+    _fold,
     _iterative,
     certificate_complex,
     certificate_from_obj,
@@ -19,8 +20,12 @@ from nonevade.certify import (
     interior_members,
 )
 from nonevade.chain_game import (
+    GAME_CAP,
     Answer,
+    GameReport,
     Query,
+    _NO,
+    _YES,
     compile_strategy,
     exhaustive_check,
     play,
@@ -28,7 +33,7 @@ from nonevade.chain_game import (
     strategy_from_obj,
     strategy_to_obj,
 )
-from nonevade.corpus import named_corpus
+from nonevade.corpus import named_corpus, random_corpus
 from nonevade.errors import CapExceeded, GroundMismatch, ParseError
 from nonevade.lattice import generate
 
@@ -188,6 +193,16 @@ def test_compile_refuses_bad_certificates_where_the_reference_does():
     assert fold == reference != GroundMismatch
 
 
+def test_compiled_answers_are_the_two_shared_values():
+    for _, lat in named_corpus():
+        for x in lat.interior():
+            cert, _ = certify(lat, x)
+            strategy = compile_strategy(cert, interior_members(lat, x))
+            answers = set()
+            _fold(strategy, lambda node, *kids: kids or answers.add(id(node)))
+            assert answers <= {id(_YES), id(_NO)}
+
+
 def test_no_path_queries_a_vertex_twice(d12):
     strategy = d12_strategy(d12)
 
@@ -273,17 +288,107 @@ def test_exhaustive_single_point():
 
 
 def test_exhaustive_check_names_a_query_outside_the_ground():
-    strategy = strategy_from_obj({"type": "query", "vertex": "zz",
-                                  "yes": {"type": "answer", "chain": False},
-                                  "no": {"type": "answer", "chain": True}})
-    with pytest.raises(GroundMismatch, match="'zz'"):
-        exhaustive_check(strategy, ("a", "b"), lambda u, v: u == v)
+    answer = {"type": "answer", "chain": True}
+    off = {"type": "query", "vertex": "zz", "yes": answer, "no": answer}
+    # the second asks about 'zz' only under a repeat of 'a' that contradicts
+    # the first answer, so no subset is played to it
+    for obj in (off, {"type": "query", "vertex": "a", "no": answer, "yes": {
+            "type": "query", "vertex": "a", "yes": answer, "no": off}}):
+        with pytest.raises(GroundMismatch, match="'zz'"):
+            exhaustive_check(strategy_from_obj(obj), ("a", "b"), lambda u, v: u == v)
 
 
 def test_exhaustive_cap():
     ground = tuple(f"v{i}" for i in range(17))
     with pytest.raises(CapExceeded):
         exhaustive_check(Answer(True), ground, lambda u, v: True)
+
+
+# A test-only copy of the exhaustive check the node walk replaced: it plays
+# the strategy flattened into tuples and walks each subset's bits for its
+# chainhood.
+def _reference_exhaustive_check(strategy, ground, leq, cap=GAME_CAP):
+    ground = tuple(ground)
+    n = len(ground)
+    if n > cap:
+        raise CapExceeded(f"ground of {n} exceeds the cap of {cap}")
+    index = {v: i for i, v in enumerate(ground)}
+    comparable = [0] * n
+    for i, u in enumerate(ground):
+        for j, v in enumerate(ground):
+            if leq(u, v) or leq(v, u):
+                comparable[i] |= 1 << j
+    compiled = _flatten(strategy, index)
+    mismatches, histogram = 0, {}
+    for mask in range(1 << n):
+        node, count = compiled, 0
+        while node[0] == "q":
+            count += 1
+            node = node[2] if mask & node[1] else node[3]
+        is_chain, m = True, mask
+        while m:
+            low = m & -m
+            if mask & ~comparable[low.bit_length() - 1]:
+                is_chain = False
+                break
+            m ^= low
+        mismatches += node[1] != is_chain
+        histogram[count] = histogram.get(count, 0) + 1
+    return GameReport(n, 1 << n, mismatches, max(histogram), histogram)
+
+
+def _flatten(strategy, index):
+    """The strategy as nested tuples ("a", verdict) and ("q", vertex bit,
+    yes, no)."""
+    def visit(node, *kids):
+        if not kids:
+            return "a", node.is_chain
+        if node.vertex not in index:
+            raise GroundMismatch(f"strategy asks about {node.vertex!r}, off the ground")
+        return ("q", 1 << index[node.vertex], *kids)
+
+    return _fold(strategy, visit)
+
+
+def _answer_slots(obj):
+    """The answer nodes of a strategy document, in preorder."""
+    slots, stack = [], [obj]
+    while stack:
+        node = stack.pop()
+        if node["type"] == "answer":
+            slots.append(node)
+        else:
+            stack += [node["no"], node["yes"]]
+    return slots
+
+
+def test_exhaustive_check_matches_the_reference():
+    instances = [(lat, x) for _, lat in named_corpus() for x in lat.interior()]
+    instances += [(lat, x) for _, lat in random_corpus(count=40)
+                  for x in lat.interior()]
+    rng, played, mutants, wrong = Random(23), 0, 0, 0
+    for lat, x in instances:
+        ground = interior_members(lat, x)
+        if len(ground) > GAME_CAP:
+            continue
+        cert, _ = certify(lat, x)
+        for order in (ground, ground[::-1]):
+            strategy = compile_strategy(cert, order)
+            report = exhaustive_check(strategy, order, lat.leq)
+            assert report == _reference_exhaustive_check(strategy, order, lat.leq)
+            assert report.mismatches == 0
+            played += 1
+        # one answer flipped, in the document, where no answer is shared
+        obj = json.loads(json.dumps(strategy_to_obj(strategy)))
+        slot = rng.choice(_answer_slots(obj))
+        slot["chain"] = not slot["chain"]
+        mutant = strategy_from_obj(obj)
+        report = exhaustive_check(mutant, order, lat.leq)
+        assert report == _reference_exhaustive_check(mutant, order, lat.leq)
+        mutants += 1
+        wrong += report.mismatches > 0
+    # every flip lands on a leaf some subset reaches, so each mutant errs
+    assert (played, mutants, wrong) == (962, 481, 481)
 
 
 def test_verdicts_downward_closed(d12):

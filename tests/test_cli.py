@@ -417,6 +417,19 @@ def test_caps_env_override(capsys, d12_file, monkeypatch):
     assert code == 0
 
 
+def test_game_refuses_an_oversized_ground_before_certifying(capsys, d12_file,
+                                                           monkeypatch):
+    def certify(*args):
+        raise AssertionError("certified a ground over the cap")
+
+    monkeypatch.setattr("nonevade.cli.certify", certify)
+    code, out, err = run(capsys, "game", d12_file, "-x", "2", "--exhaustive",
+                         "--cap-game", "3", "--json")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "type": "CapExceeded", "message": "ground of 4 exceeds the cap of 3"}
+
+
 def test_caps_env_rejects_garbage(capsys, d12_file, monkeypatch):
     monkeypatch.setenv("NONEVADE_CAPS", "game=lots")
     code, out, err = run(capsys, "validate", d12_file)

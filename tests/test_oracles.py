@@ -23,6 +23,7 @@ from nonevade.oracles import (
     brute_collapsible,
     brute_nonevasive,
     find_noncomplemented_element,
+    interior_euler,
     mobius,
 )
 
@@ -252,26 +253,6 @@ def test_even_face_count_is_never_collapsible():
 # --- Mobius -------------------------------------------------------------------------
 
 
-def test_mobius_two_chain():
-    assert mobius(generate("chain", 2)) == -1
-
-
-def test_mobius_boolean():
-    # oracle: (-1)^n for rank n
-    assert mobius(generate("boolean", 2)) == 1
-    assert mobius(generate("boolean", 3)) == -1
-    assert mobius(generate("boolean", 4)) == 1
-
-
-def test_mobius_d12():
-    assert mobius(generate("divisor", 12)) == 0
-
-
-def test_mobius_squarefree_divisor():
-    # oracle: number-theoretic Mobius of 30 = (-1)^3
-    assert mobius(generate("divisor", 30)) == -1
-
-
 def test_mobius_dual_invariant():
     for name, lat in named_corpus():
         assert mobius(lat) == mobius(lat.dual())
@@ -472,9 +453,6 @@ def test_certifier_matches_oracle_on_divisors():
 def test_mobius_matches_euler_on_random_lattices(seed):
     lat = generate("random", 6, p=0.3, seed=seed)
     mu = mobius(lat)
-    interior = lat.interior()
-    euler = (order_complex(lat.interior_set()).reduced_euler()
-             if interior else -1)
-    assert euler == mu
+    assert interior_euler(lat) == mu
     if find_noncomplemented_element(lat) is not None:
         assert mu == 0
