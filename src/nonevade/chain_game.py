@@ -3,7 +3,10 @@
 A hidden subset of the certified vertex set is probed with questions
 "is this vertex in the set?"; the compiled strategy, one DAG of Query and
 Answer nodes that every walker plays as it is, decides whether the subset
-is a chain using at most |ground| - 1 questions.
+is a chain using at most |ground| - 1 questions.  The exhaustive check
+settles all subsets at once from the strategy's leaves: each leaf is one
+subcube of subsets, and downward-closed chains make it all chains, none,
+or a count along a linear extension.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 
 from .certify import Leaf, Prune, _fold, _Node, _parser, _to_obj
 from .errors import CapExceeded, GroundMismatch
+from .lattice import _bits
 
 GAME_CAP = 16
 
@@ -128,49 +132,100 @@ def play(strategy, hidden):
 
 
 def exhaustive_check(strategy, ground, leq, cap=GAME_CAP):
-    """Play every subset of the ground and compare with the chain predicate.
+    """Decide the game on every subset of the ground, one leaf at a time.
 
     ``leq`` is the order predicate on ground elements; a subset is a chain
-    when all its pairs are comparable.  Returns a GameReport whose mismatch
-    count must be zero for a correct strategy.  A query about a vertex off
-    the ground raises GroundMismatch before any play, even one no play
-    reaches.  Subsets are masks over the positions of ``ground``, played in
-    increasing order; one is a chain iff it is empty, or is a chain without
-    its lowest vertex and that vertex is comparable to all of it, so a table
-    of 2^n bytes filled in the same loop decides each in one step."""
+    when all its pairs are comparable.  Returns a GameReport over all
+    2^|ground| subsets whose mismatch count must be zero for a correct
+    strategy; ``cap`` bounds the ground, not the leaves.  A query about a
+    vertex off the ground raises GroundMismatch, even one no subset reaches.
+
+    Each root-to-leaf path carries the masks, over the positions of
+    ``ground``, of the vertices answered in (I) and of those answered at all;
+    a query on an answered vertex follows its answer and still counts.  The
+    subsets reaching a leaf are the subcube [I, I + F] of its free vertices
+    F, 2^|F| of them, each asked the path's query count.  Chains are closed
+    downward, so the subcube is all chains when I + F is a chain, has none
+    when I is not, and otherwise has one per chain among the vertices of F
+    comparable to all of I, counted along a linear extension.  A path
+    ending early is one step for all its subsets, so the cost is one step
+    per leaf, not per subset."""
     ground = tuple(ground)
     n = len(ground)
     check_game_cap(n, cap)
-    bit = {v: 1 << i for i, v in enumerate(ground)}
+    index = {v: i for i, v in enumerate(ground)}
+    comparable = [1 << i for i in range(n)]
+    for j, v in enumerate(ground):
+        for i in range(j):
+            u = ground[i]
+            if leq(u, v) or leq(v, u):
+                comparable[i] |= 1 << j
+                comparable[j] |= 1 << i
+    below = order = None  # strict down-sets and a linear extension, on demand
+
+    def chains(mask):
+        # the chains among the vertices of mask, the empty one included
+        nonlocal below, order
+        if below is None:
+            below = [sum(1 << i for i in _bits(comparable[j] ^ 1 << j)
+                         if leq(ground[i], ground[j])) for j in range(n)]
+            order = sorted(range(n), key=lambda j: below[j].bit_count())
+        total, ending = 1, [0] * n  # ending[j]: the chains whose top is j
+        for j in order:
+            if mask >> j & 1:
+                ending[j] = 1 + sum(ending[i] for i in _bits(mask & below[j]))
+                total += ending[j]
+        return total
+
+    def is_chain(mask):
+        # a loop, as any() over _bits costs a quarter more of the walk
+        rest = mask
+        while rest and not mask & ~comparable[(rest & -rest).bit_length() - 1]:
+            rest &= rest - 1
+        return not rest
 
     def known(node, *kids):
-        if kids and node.vertex not in bit:
+        if kids and node.vertex not in index:
             raise GroundMismatch(f"strategy asks about {node.vertex!r}, off the ground")
 
-    _fold(strategy, known)
-    comparable = [sum(1 << j for j, v in enumerate(ground) if leq(u, v) or leq(v, u))
-                  for u in ground]
-    chain = bytearray(1 << n)
-    chain[0] = True
+    walked = False  # whether every node is known to be on the ground
+    full = (1 << n) - 1
     mismatches = 0
     histogram = {}
-    for mask in range(1 << n):
-        if mask:
-            low = mask & -mask
-            rest = mask ^ low
-            chain[mask] = chain[rest] and not rest & ~comparable[low.bit_length() - 1]
-        node = strategy
-        count = 0
+    # (node, I, answered, queries, the vertices comparable to all of I)
+    stack = [(strategy, 0, 0, 0, full)]
+    while stack:
+        node, yes, seen, count, common = stack.pop()
         while type(node) is Query:
             count += 1
-            node = node.yes if mask & bit[node.vertex] else node.no
-        mismatches += node.is_chain != chain[mask]
-        histogram[count] = histogram.get(count, 0) + 1
+            i = index.get(node.vertex)
+            if i is None or seen >> i & 1:
+                # a path that skips a branch may skip an off-ground vertex:
+                # one fold over the whole strategy names the first one
+                if not walked:
+                    _fold(strategy, known)
+                    walked = True
+                node = node.yes if yes >> i & 1 else node.no
+                continue
+            seen |= 1 << i
+            stack.append((node.no, yes, seen, count, common))
+            node, yes, common = node.yes, yes | 1 << i, common & comparable[i]
+        free = full ^ seen
+        size = 1 << free.bit_count()
+        histogram[count] = histogram.get(count, 0) + size
+        if yes & ~common:  # I is not a chain, so no subset here is
+            chained = 0
+        elif free & ~common or not is_chain(free):
+            chained = chains(free & common)
+        else:  # I + F is a chain
+            chained = size
+        mismatches += size - chained if node.is_chain else chained
     return GameReport(n, 1 << n, mismatches, max(histogram), histogram)
 
 
 def check_game_cap(size, cap):
-    """Refuse with CapExceeded a ground too large to play all its subsets."""
+    """Refuse with CapExceeded a ground too large to decide all its subsets:
+    a strategy on n vertices may have 2^n leaves."""
     if size > cap:
         raise CapExceeded(f"ground of {size} exceeds the cap of {cap}")
 

@@ -8,8 +8,11 @@ property and prints a PASS/FAIL line.  Run with ``pytest -s`` to see the
 lines as they appear.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
+from nonevade.lattice import generate
 from nonevade.suite import (
     CorpusRun,
     criterion_certification,
@@ -61,3 +64,11 @@ def test_criterion_6_proof_identities(corpus_run):
 
 def test_criterion_7_known_value_spot_checks():
     _finish(criterion_spot_checks())
+
+
+def test_criterion_5_holds_on_the_one_element_lattice():
+    # bottom = top: mu is 1 and the empty interior's reduced Euler
+    # characteristic is -1, but P. Hall's theorem needs bottom < top
+    run = SimpleNamespace(corpus=[(f"chain-{n}", generate("chain", n))
+                                  for n in (1, 2, 3)])
+    _finish(criterion_mobius_vanishing(run))

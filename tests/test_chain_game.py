@@ -298,15 +298,64 @@ def test_exhaustive_check_names_a_query_outside_the_ground():
             exhaustive_check(strategy_from_obj(obj), ("a", "b"), lambda u, v: u == v)
 
 
+def test_exhaustive_check_messages_are_the_folds():
+    # the message names the first off-ground vertex of the fold over the
+    # whole strategy, not the first one a path meets: 'zz' on the yes branch
+    # and 'pp' under a repeat of 'a' that contradicts its first answer
+    two_off = Query("a", Query("zz", _YES, _NO), Query("yy", _NO, _YES))
+    repeat = Query("a", Query("b", Query("a", Query("qq", _YES, _NO),
+                                         Query("pp", _YES, _NO)), _NO), _YES)
+    for strategy, vertex in ((two_off, "yy"), (repeat, "pp")):
+        for check in (exhaustive_check, _node_walk_exhaustive_check,
+                      _reference_exhaustive_check):
+            with pytest.raises(GroundMismatch) as caught:
+                check(strategy, ("a", "b"), lambda u, v: u == v)
+            assert str(caught.value) == f"strategy asks about {vertex!r}, off the ground"
+
+
 def test_exhaustive_cap():
     ground = tuple(f"v{i}" for i in range(17))
     with pytest.raises(CapExceeded):
         exhaustive_check(Answer(True), ground, lambda u, v: True)
 
 
-# A test-only copy of the exhaustive check the node walk replaced: it plays
-# the strategy flattened into tuples and walks each subset's bits for its
-# chainhood.
+# Two test-only copies of the exhaustive checks the leaf walk replaced: the
+# node walk plays every subset on the Query/Answer DAG with a 2^n chain
+# table, and before it the tuple walk played the strategy flattened into
+# tuples and walked each subset's bits for its chainhood.
+def _node_walk_exhaustive_check(strategy, ground, leq, cap=GAME_CAP):
+    ground = tuple(ground)
+    n = len(ground)
+    if n > cap:
+        raise CapExceeded(f"ground of {n} exceeds the cap of {cap}")
+    bit = {v: 1 << i for i, v in enumerate(ground)}
+
+    def known(node, *kids):
+        if kids and node.vertex not in bit:
+            raise GroundMismatch(f"strategy asks about {node.vertex!r}, off the ground")
+
+    _fold(strategy, known)
+    comparable = [sum(1 << j for j, v in enumerate(ground) if leq(u, v) or leq(v, u))
+                  for u in ground]
+    chain = bytearray(1 << n)
+    chain[0] = True
+    mismatches = 0
+    histogram = {}
+    for mask in range(1 << n):
+        if mask:
+            low = mask & -mask
+            rest = mask ^ low
+            chain[mask] = chain[rest] and not rest & ~comparable[low.bit_length() - 1]
+        node = strategy
+        count = 0
+        while type(node) is Query:
+            count += 1
+            node = node.yes if mask & bit[node.vertex] else node.no
+        mismatches += node.is_chain != chain[mask]
+        histogram[count] = histogram.get(count, 0) + 1
+    return GameReport(n, 1 << n, mismatches, max(histogram), histogram)
+
+
 def _reference_exhaustive_check(strategy, ground, leq, cap=GAME_CAP):
     ground = tuple(ground)
     n = len(ground)
@@ -350,6 +399,14 @@ def _flatten(strategy, index):
     return _fold(strategy, visit)
 
 
+def _checked(strategy, ground, leq):
+    """The leaf walk's report, asserted equal to both references'."""
+    report = exhaustive_check(strategy, ground, leq)
+    assert report == _node_walk_exhaustive_check(strategy, ground, leq)
+    assert report == _reference_exhaustive_check(strategy, ground, leq)
+    return report
+
+
 def _answer_slots(obj):
     """The answer nodes of a strategy document, in preorder."""
     slots, stack = [], [obj]
@@ -362,33 +419,86 @@ def _answer_slots(obj):
     return slots
 
 
-def test_exhaustive_check_matches_the_reference():
+def _game_instances():
+    """(lattice, ground) of every named-corpus and random_corpus(40)
+    instance the game cap admits, with its certificate."""
     instances = [(lat, x) for _, lat in named_corpus() for x in lat.interior()]
     instances += [(lat, x) for _, lat in random_corpus(count=40)
                   for x in lat.interior()]
-    rng, played, mutants, wrong = Random(23), 0, 0, 0
     for lat, x in instances:
         ground = interior_members(lat, x)
-        if len(ground) > GAME_CAP:
-            continue
-        cert, _ = certify(lat, x)
+        if len(ground) <= GAME_CAP:
+            yield lat, ground, certify(lat, x)[0]
+
+
+def test_exhaustive_check_matches_the_reference():
+    rng, played, mutants, wrong = Random(23), 0, 0, 0
+    for lat, ground, cert in _game_instances():
         for order in (ground, ground[::-1]):
             strategy = compile_strategy(cert, order)
-            report = exhaustive_check(strategy, order, lat.leq)
-            assert report == _reference_exhaustive_check(strategy, order, lat.leq)
-            assert report.mismatches == 0
+            assert _checked(strategy, order, lat.leq).mismatches == 0
             played += 1
         # one answer flipped, in the document, where no answer is shared
         obj = json.loads(json.dumps(strategy_to_obj(strategy)))
         slot = rng.choice(_answer_slots(obj))
         slot["chain"] = not slot["chain"]
-        mutant = strategy_from_obj(obj)
-        report = exhaustive_check(mutant, order, lat.leq)
-        assert report == _reference_exhaustive_check(mutant, order, lat.leq)
         mutants += 1
-        wrong += report.mismatches > 0
+        wrong += _checked(strategy_from_obj(obj), order, lat.leq).mismatches > 0
     # every flip lands on a leaf some subset reaches, so each mutant errs
     assert (played, mutants, wrong) == (962, 481, 481)
+
+
+def _graft(strategy, rng, make):
+    """The strategy with the node at the end of a random path from the root
+    replaced by make(node, the (vertex, answer) pairs of the path)."""
+    steps, node = [], strategy
+    while type(node) is Query and (not steps or rng.random() < 0.7):
+        answer = rng.random() < 0.5
+        steps.append((node, answer))
+        node = node.yes if answer else node.no
+    new = make(node, [(q.vertex, a) for q, a in steps])
+    for q, answer in reversed(steps):
+        new = Query(q.vertex, new, q.no) if answer else Query(q.vertex, q.yes, new)
+    return new
+
+
+def test_exhaustive_check_decides_what_compiled_strategies_never_reach():
+    # compiled strategies never query a vertex twice and never end on a
+    # subcube holding chains and non-chains; hand-made ones do both
+    rng = Random(24)
+    made = {"mixed": 0, "repeat": 0, "constant": 0}
+    # the reports whose mismatches are neither none nor every subset
+    partial = {"mixed": 0, "constant": 0}
+    for lat, ground, cert in _game_instances():
+        order = ground if rng.random() < 0.5 else ground[::-1]
+        strategy = compile_strategy(cert, order)
+        if type(strategy) is not Query:
+            continue
+        # a whole subtree answered by one verdict
+        mixed = _graft(strategy, rng, lambda node, path: rng.choice((_YES, _NO)))
+        report = _checked(mixed, order, lat.leq)
+        made["mixed"] += 1
+        partial["mixed"] += 0 < report.mismatches < report.subsets_tested
+
+        # the vertex of a query on the path asked again: its answer leads on
+        # as before, and the other branch is a subtree no subset reaches
+        def repeat(node, path):
+            vertex, answer = rng.choice(path)
+            other = rng.choice((_YES, _NO, strategy))
+            return Query(vertex, node, other) if answer else Query(vertex, other, node)
+
+        report = _checked(_graft(strategy, rng, repeat), order, lat.leq)
+        made["repeat"] += 1
+        assert report.mismatches == 0
+        # one verdict for every subset of a ground that is not a chain
+        if any(not lat.leq(u, v) and not lat.leq(v, u)
+               for u, v in combinations(order, 2)):
+            for answer in (_YES, _NO):
+                report = _checked(answer, order, lat.leq)
+                partial["constant"] += 0 < report.mismatches < report.subsets_tested
+            made["constant"] += 1
+    assert made == {"mixed": 461, "repeat": 461, "constant": 437}
+    assert partial == {"mixed": 366, "constant": 874}
 
 
 def test_verdicts_downward_closed(d12):
