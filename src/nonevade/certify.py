@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     VerificationFailed,
 )
-from .lattice import Lattice, _bits
+from .lattice import _bits
 
 MODES = ("case1_atom", "case1_coatom", "case2_atom", "case2_coatom")
 
@@ -156,14 +156,15 @@ class CertifyTrace:
 
     A split's rejected candidates are stored as masks, one (order, witness,
     accepted) triple per scan over the atoms of the lattice or its dual,
-    and become ``[label, reason]`` pairs only in ``entries``.  A scan looks
-    at its atoms in canonical order and stops at the one it accepts, so an
-    entry lists the scan's rejections in canonical order up to that atom;
-    the order mask holds every atom that fails the order test, the later
-    ones included, since it is one whole-mask test."""
+    and become ``[label, reason]`` pairs only in ``entries``, labelled by
+    the certified lattice, whose root every sublattice of the run shares.
+    A scan looks at its atoms in canonical order and stops at the one it
+    accepts, so an entry lists the scan's rejections in canonical order up
+    to that atom; the order mask holds every atom that fails the order
+    test, the later ones included, since it is one whole-mask test."""
 
-    def __init__(self, root, records):
-        self._root, self._records = root, records
+    def __init__(self, root, records, lattice):
+        self._root, self._records, self._lattice = root, records, lattice
 
     @property
     def entries(self):
@@ -172,7 +173,7 @@ class CertifyTrace:
             node, depth = stack.pop()
             entry = {"depth": depth, **self._records[id(node)]}
             if "rejected" in entry:
-                entry["rejected"] = _rejections(*entry["rejected"])
+                entry["rejected"] = _rejections(self._lattice, entry["rejected"])
             out.append(entry)
             stack += [(getattr(node, k), depth + 1) for k in reversed(node._kids)]
         return out
@@ -202,18 +203,17 @@ def _certified(lattice, element):
     interior minus the complements of ``element``."""
     if element == lattice.bottom or element == lattice.top:
         raise ElementOnBoundary(f"{element!r} is a bound of the lattice")
-    P = lattice.poset
-    return lattice._interior_mask() & ~lattice._complement_mask(P._at(element))
+    return lattice._interior_mask() & ~lattice._complement_mask(lattice._at(element))
 
 
 def interior_members(lattice, element):
     """The certified vertex set: interior elements that do not complement ``element``."""
-    return lattice.poset._labels(_certified(lattice, element))
+    return lattice._labels(_certified(lattice, element))
 
 
 def certificate_complex(lattice, element):
     """Order complex of the vertex set certify(lattice, element) works on."""
-    return order_complex(lattice.poset._view(_certified(lattice, element)))
+    return order_complex(lattice._view(_certified(lattice, element)))
 
 
 def certify(lattice, element):
@@ -265,7 +265,7 @@ def certify(lattice, element):
     co = lattice._interior_mask() & ~_certified(lattice, element)
     records = {}
     cert = _certify((lattice, element, co, records))
-    return cert, CertifyTrace(cert, records)
+    return cert, CertifyTrace(cert, records, lattice)
 
 
 _UNSEEN = object()
@@ -317,7 +317,7 @@ def _split_sound(S, px, y, co):
     if dl._complement_mask(px) != co:
         return None
     lk = S._interval(y, S._bounds[1])
-    if lk._complement_mask(S._join(px, y)) != co & lk.poset._mask:
+    if lk._complement_mask(S._join(px, y)) != co & lk._mask:
         return None
     return dl, lk
 
@@ -329,7 +329,7 @@ def _first_sound(S, px, candidates, co):
     children are None when none passes."""
     witness = 0
     while candidates:
-        y = S.poset._first(candidates)
+        y = S._first(candidates)
         children = _split_sound(S, px, y, co)
         if children is not None:
             return y, children, witness
@@ -338,16 +338,16 @@ def _first_sound(S, px, candidates, co):
     return None, None, witness
 
 
-def _rejections(P, scans):
+def _rejections(L, scans):
     """A split's rejected candidates as [label, reason] pairs: per scan, the
     atoms that failed the order test or the screen, in canonical order up
-    to the atom the scan accepted, if it accepted one."""
-    out, rank = [], P._rank
+    to the atom the scan accepted, if it accepted one, labelled by L."""
+    out, rank = [], L._rank
     for order, witness, accepted in scans:
-        for p in P._sorted(order | witness):
+        for p in L._sorted(order | witness):
             if accepted is not None and rank[p] > rank[accepted]:
                 break
-            out.append([P._label[p], "order" if order >> p & 1 else "witness"])
+            out.append([L._label[p], "order" if order >> p & 1 else "witness"])
     return out
 
 
@@ -359,7 +359,7 @@ def _record(records, node, **entry):
 
 # a view is fixed by its root, member mask and orientation
 @partial(_iterative, key=lambda args: (
-    args[0].poset._mask, args[0].poset._rev, args[1]))
+    args[0]._mask, args[0]._rev, args[1]))
 def _certify(args):
     """The certificate for (L, x), where co is the complement mask of x;
     a recursive call yields (view, element, complement mask, records).  The
@@ -376,8 +376,7 @@ def _certify(args):
     without a sort, and the children come from ``_remove_atom`` and
     ``_interval``, which derive their atoms and coatoms incrementally."""
     L, x, co, records = args
-    P = L.poset
-    px = P._pos[x]
+    px = L._pos[x]
     if L._interior_mask().bit_count() == 1:
         return _record(records, Leaf(x), case="leaf", lattice_size=len(L),
                        interior_size=1, vertex=x)
@@ -390,10 +389,9 @@ def _certify(args):
     had_case1_candidate = False
     scans = []  # (order, witness, accepted) per scan, for the trace
     for S, side in sides:
-        Q = S.poset
-        up, top = Q._up, 1 << S._bounds[1]
-        above_x = up[px] & Q._mask
-        order = S._atom_mask & Q._down[px]
+        up, top = S._up, 1 << S._bounds[1]
+        above_x = up[px] & S._mask
+        order = S._atom_mask & S._down[px]
         for y in _bits(S._atom_mask & ~order):
             if up[y] & above_x == top:
                 order |= 1 << y
@@ -416,7 +414,7 @@ def _certify(args):
             return node
 
     # fallback prune: discard complements one at a time where sound
-    for s in P._sorted(co):
+    for s in L._sorted(co):
         node = yield from _try_prune(args, 1 << s, hard=False)
         if node is not None:
             return node
@@ -424,7 +422,7 @@ def _certify(args):
     # comparable splits: an atom below x, else a coatom above x; with no
     # complements anywhere this is the classic endgame and always succeeds
     for S, side in sides:
-        below_x = S._atom_mask & S.poset._down[px] & ~(1 << px)
+        below_x = S._atom_mask & S._down[px] & ~(1 << px)
         y, children, witness = _first_sound(S, px, below_x, co)
         scans.append((0, witness, y))
         if y is not None:
@@ -434,7 +432,7 @@ def _certify(args):
         "no-sound-step",
         f"no vertex or discard passes the soundness screen "
         f"(element {x!r}, interior {sorted(L.interior())}, "
-        f"complements {sorted(P._labels(co))})",
+        f"complements {sorted(L._labels(co))})",
     )
 
 
@@ -447,27 +445,26 @@ def _try_prune(args, removed, hard):
     hard=False the caller falls through to the next stage.
     """
     L, x, co, records = args
-    P = L.poset
 
     def fail(tag, detail):
         if hard:
             raise InternalAssertion(tag, detail)
         return None
 
-    if removed >> P._pos[x] & 1:
+    if removed >> L._pos[x] & 1:
         return fail("prune-contains-element",
-                    f"{x!r} in discard set {sorted(P._labels(removed))}")
+                    f"{x!r} in discard set {sorted(L._labels(removed))}")
     if removed & ~co:
         return fail("prune-not-complements",
-                    f"{sorted(P._labels(removed & ~co))} are not complements of {x!r}")
+                    f"{sorted(L._labels(removed & ~co))} are not complements of {x!r}")
     try:
-        child_lattice = Lattice(P._view(P._mask & ~removed))
+        child_lattice = L._restrict(L._mask & ~removed)
     except NonevadeError as exc:
         return fail("prune-sublattice", str(exc))
-    if child_lattice._complement_mask(P._pos[x]) != co & ~removed:
+    if child_lattice._complement_mask(L._pos[x]) != co & ~removed:
         return fail("prune-invariance",
                     "complement set changed after discarding")
-    removed_ordered = P._labels(removed)
+    removed_ordered = L._labels(removed)
     child = yield child_lattice, x, co & ~removed, records
     return _record(records, Prune(removed_ordered, child), case="prune",
                    lattice_size=len(L),
@@ -483,14 +480,13 @@ def _emit_split(args, S, side, y, children, case, scans):
     sees the lattice in its original orientation.
     """
     L, x, co, records = args
-    Q = S.poset
     members = L._interior_mask() & ~co
-    vertex = Q._label[y]
+    vertex = S._label[y]
     if not members >> y & 1:
         raise InternalAssertion("split-vertex-outside",
-                                f"{vertex!r} not in {Q._labels(members)}")
-    pz = S._join(Q._pos[x], y)
-    z = Q._label[pz]
+                                f"{vertex!r} not in {S._labels(members)}")
+    pz = S._join(S._pos[x], y)
+    z = S._label[pz]
     if pz in S._bounds:
         raise InternalAssertion("split-degenerate-z", f"z={z!r} for vertex {vertex!r}")
     dl_lattice, lk_lattice = children
@@ -498,10 +494,10 @@ def _emit_split(args, S, side, y, children, case, scans):
         dl_lattice, lk_lattice = dl_lattice.dual(), lk_lattice.dual()
     mode = f"{case}_{side}"
     dl = yield dl_lattice, x, co, records
-    lk = yield lk_lattice, z, co & lk_lattice.poset._mask, records
+    lk = yield lk_lattice, z, co & lk_lattice._mask, records
     return _record(records, Split(vertex, mode, z, dl, lk), case=mode,
                    lattice_size=len(S), interior_size=members.bit_count(),
-                   vertex=vertex, link_element=z, rejected=(Q, scans))
+                   vertex=vertex, link_element=z, rejected=scans)
 
 
 # --- complex-level verification ------------------------------------------------
@@ -736,16 +732,15 @@ def _below(step, failures):
 # the complex a node is audited against is the certified complex of its
 # (sublattice, element), so that pair and the node identify the audit
 @partial(_iterative, key=lambda args: (
-    id(args[2]), args[0].poset._mask, args[0].poset._rev, args[1]))
+    id(args[2]), args[0]._mask, args[0]._rev, args[1]))
 def _audit(args):
     """Tally (splits, prunes, leaves, failures) of one subtree, audited
     against c, the certified mask of (L, x); a failure is a (path below
     this node, message) pair."""
     L, x, node, c = args
-    P = L.poset
     co = L._interior_mask() & ~c  # complements are interior
     if isinstance(node, Leaf):
-        if c.bit_count() != 1 or P._label[c.bit_length() - 1] != node.vertex:
+        if c.bit_count() != 1 or L._label[c.bit_length() - 1] != node.vertex:
             return 0, 0, 1, [((), "leaf does not match the complex")]
         return 0, 0, 1, []
     if isinstance(node, Prune):
@@ -753,12 +748,12 @@ def _audit(args):
             return 0, 1, 0, [((), "prune removed the certified element")]
         removed = 0
         for e in node.removed:
-            p = P._pos.get(e)
+            p = L._pos.get(e)
             if p is None or not co >> p & 1:
                 return 0, 1, 0, [((), "prune removed non-complements")]
             removed |= 1 << p
         try:
-            child_L = Lattice(P._view(P._mask & ~removed))
+            child_L = L._restrict(L._mask & ~removed)
         except NonevadeError as exc:
             return 0, 1, 0, [((), f"prune leaves no lattice: {exc}")]
         if _certified(child_L, x) != c:
@@ -769,30 +764,30 @@ def _audit(args):
     y = node.vertex
     case, side = node.mode.split("_")
     S = L.dual() if side == "coatom" else L
-    p = P._pos.get(y) if isinstance(y, str) else None
+    p = L._pos.get(y) if isinstance(y, str) else None
     if y == x or p is None or not S._atom_mask >> p & 1 or not c >> p & 1:
         return 1, 0, 0, [((), (
             f"{node.mode} split vertex {y!r} is not one of the "
             f"{side}s in the complex other than {x!r}"
         ))]
     failures = []
-    px = P._pos[x]
+    px = L._pos[x]
     dl_L, lk_L = S._remove_atom(p), S._interval(p, S._bounds[1])
     if side == "coatom":
         dl_L, lk_L = dl_L.dual(), lk_L.dual()
-    z = P._label[S._join(px, p)]
-    if (case == "case2") != bool(S.poset._down[px] >> p & 1):
+    z = L._label[S._join(px, p)]
+    if (case == "case2") != bool(S._down[px] >> p & 1):
         failures.append(f"mode {node.mode} disagrees with how {y!r} compares to {x!r}")
     if node.link_element != z:
         failures.append(f"recorded link element {node.link_element!r}, derived {z!r}")
     dl_c, lk_c = _certified(dl_L, x), _certified(lk_L, z)
     if dl_L._interior_mask() & ~dl_c != co:
         failures.append("deletion-side complement set changed")
-    if lk_L._interior_mask() & ~lk_c != co & lk_L.poset._mask:
+    if lk_L._interior_mask() & ~lk_c != co & lk_L._mask:
         failures.append("link-side complement set mismatch")
     if dl_c != c & ~(1 << p):
         failures.append(f"deletion identity fails at {y!r}")
-    if lk_c != c & (P._up[p] | P._down[p]) & ~(1 << p):
+    if lk_c != c & (L._up[p] | L._down[p]) & ~(1 << p):
         failures.append(f"link identity fails at {y!r}")
     dl_splits, dl_prunes, dl_leaves, dl_failures = yield dl_L, x, node.dl, dl_c
     lk_splits, lk_prunes, lk_leaves, lk_failures = yield lk_L, z, node.lk, lk_c

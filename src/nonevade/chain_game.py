@@ -154,22 +154,23 @@ def exhaustive_check(strategy, ground, leq, cap=GAME_CAP):
     n = len(ground)
     check_game_cap(n, cap)
     index = {v: i for i, v in enumerate(ground)}
-    comparable = [1 << i for i in range(n)]
+    # the strict down-sets, from at most one leq call per ordered pair
+    below, comparable = [0] * n, [1 << i for i in range(n)]
     for j, v in enumerate(ground):
         for i in range(j):
             u = ground[i]
-            if leq(u, v) or leq(v, u):
-                comparable[i] |= 1 << j
-                comparable[j] |= 1 << i
-    below = order = None  # strict down-sets and a linear extension, on demand
+            if leq(u, v):
+                below[j] |= 1 << i
+            elif leq(v, u):
+                below[i] |= 1 << j
+            else:
+                continue
+            comparable[i] |= 1 << j
+            comparable[j] |= 1 << i
+    order = sorted(range(n), key=lambda j: below[j].bit_count())
 
     def chains(mask):
         # the chains among the vertices of mask, the empty one included
-        nonlocal below, order
-        if below is None:
-            below = [sum(1 << i for i in _bits(comparable[j] ^ 1 << j)
-                         if leq(ground[i], ground[j])) for j in range(n)]
-            order = sorted(range(n), key=lambda j: below[j].bit_count())
         total, ending = 1, [0] * n  # ending[j]: the chains whose top is j
         for j in order:
             if mask >> j & 1:

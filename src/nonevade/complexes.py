@@ -281,8 +281,8 @@ class CollapseSequence:
 
 
 def order_complex(poset):
-    """The complex whose faces are the chains of a poset view, on the ground
-    of its root.
+    """The complex whose faces are the chains of a poset view, a lattice
+    included, on the ground of its root.
 
     Facets are the maximal chains, enumerated on an explicit stack by
     walking cover steps of the induced order from its minimal members.

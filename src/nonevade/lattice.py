@@ -2,14 +2,14 @@
 
 A root stores one up- and one down-bitmask per element, bits numbered
 along a linear extension (bit q of ``up[p]`` means p <= q).  Every poset
-and lattice is a view (root, member mask): a sublattice or dual is one new
-mask that shares the root.  ``join(u, v)`` is the lowest bit of up(u) &
-up(v) & members (the highest on a dual), and ``meet`` is the join of the
-dual.  The element order given at construction is canonical: every
-scan, tie-break and serialisation follows it.  A view keeps only its
-root's ground and its masks; label tuples are rendered on each read.
-All values are immutable once built, so instances can be shared freely
-across threads.
+is a view: its root's ground and masks plus a member mask.  A lattice is a
+poset view that also keeps its bounds and its atom and coatom masks, so a
+sublattice or dual is one new view of the root.  ``join(u, v)`` is the
+lowest bit of up(u) & up(v) & members (the highest on a dual), and
+``meet`` is the join of the dual.  The element order given at
+construction is canonical: every scan, tie-break and serialisation
+follows it; label tuples are rendered on each read.  All values are
+immutable once built, so instances can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -155,21 +155,25 @@ class Poset:
     @classmethod
     def _root(cls, elements, rank, up, down):
         """The root whose bit p is ``elements[rank[p]]``, with one up- and one
-        down-mask per bit; ``rank`` must list a linear extension."""
-        root = cls.__new__(cls)
+        down-mask per bit; ``rank`` must list a linear extension.  On
+        ``Lattice`` it is checked and returned as a lattice."""
+        root = Poset.__new__(Poset)
         root._label = tuple(map(elements.__getitem__, rank))
         root._pos = {label: p for p, label in enumerate(root._label)}
         root._up, root._down, root._rank = tuple(up), tuple(down), rank
         root._mask, root._rev = (1 << len(elements)) - 1, False
-        return root
+        return root if cls is Poset else cls(root)
 
     def _view(self, mask):
-        """The induced subposet on the positions in ``mask``."""
-        view = Poset.__new__(Poset)
-        view._label, view._rank, view._pos = self._label, self._rank, self._pos
-        view._up, view._down, view._rev = self._up, self._down, self._rev
-        view._mask = mask
-        return view
+        """The induced subposet on ``mask``, as a plain ``Poset``."""
+        return Poset.__new__(Poset)._adopt(self, mask)
+
+    def _adopt(self, poset, mask):
+        """Become the view of ``poset``'s root and orientation on ``mask``."""
+        self._label, self._rank, self._pos = poset._label, poset._rank, poset._pos
+        self._up, self._down, self._rev = poset._up, poset._down, poset._rev
+        self._mask = mask
+        return self
 
     def _at(self, label):
         """Bit position of a member."""
@@ -274,11 +278,14 @@ class Poset:
         return view
 
     def restrict(self, members):
-        """Induced subposet on ``members``, canonical order preserved."""
+        """Induced subposet on ``members``, canonical order preserved; on a
+        lattice, the induced sublattice, with the lattice axioms checked."""
         mask = 0
         for m in members:
             mask |= 1 << self._at(m)
-        return self._view(mask)
+        return self._restrict(mask)
+
+    _restrict = _view
 
 
 def _missing_bound(poset, order):
@@ -354,8 +361,14 @@ def _lattice_bounds(poset):
     return minimals[0], maximals[0]
 
 
-class Lattice:
+class Lattice(Poset):
     """A bounded lattice: a poset with unique bottom/top and total meet/join.
+
+    A lattice is a poset view (its root's ground and order masks, its
+    member mask and orientation) that also keeps its bounds and its atom
+    and coatom masks, so it goes wherever a poset view does.  ``poset`` is
+    the plain order of the same members: it hashes alike but never equals
+    the lattice.
 
     Construction validates everything: unique minimum and maximum, and a
     unique greatest lower bound for every pair (raising NotALattice with
@@ -384,162 +397,151 @@ class Lattice:
       the upper covers of v on the dual.
     """
 
-    __slots__ = ("poset", "bottom", "top", "_bounds", "_atom_mask", "_coatom_mask")
+    __slots__ = ("bottom", "top", "_bounds", "_atom_mask", "_coatom_mask")
 
-    def __init__(self, poset, _bounds=None):
-        bottom, top = _lattice_bounds(poset) if _bounds is None else _bounds
-        mask = poset._mask
-        self._init(poset, bottom, top, poset._upper_covers(bottom, mask),
-                   poset.dual()._upper_covers(top, mask))
+    def __init__(self, poset):
+        self._adopt(poset, poset._mask)._walk(*_lattice_bounds(self))
 
-    def _init(self, poset, bottom, top, atoms, coatoms):
-        self.poset, self._bounds = poset, (bottom, top)
-        self.bottom, self.top = poset._label[bottom], poset._label[top]
+    def _restrict(self, mask):
+        """The induced sublattice on ``mask``, checked as ``Lattice()`` is."""
+        lat = self._sub(mask)
+        return lat._walk(*_lattice_bounds(lat))
+
+    def _sub(self, mask):
+        """A lattice on ``mask`` of this root and orientation, bounds unset."""
+        return Lattice.__new__(Lattice)._adopt(self, mask)
+
+    def _walk(self, bottom, top):
+        """Set the bounds, finding the atoms and coatoms by cover walks."""
+        return self._init(bottom, top, self._upper_covers(bottom, self._mask),
+                          Poset.dual(self)._upper_covers(top, self._mask))
+
+    def _init(self, bottom, top, atoms, coatoms):
+        self._bounds = bottom, top
+        self.bottom, self.top = self._label[bottom], self._label[top]
         self._atom_mask, self._coatom_mask = atoms, coatoms
         return self
 
     # -- basic queries ----------------------------------------------------------
 
     @property
+    def poset(self):
+        """The plain poset view of the same members and orientation."""
+        return self._view(self._mask)
+
+    @property
     def atoms(self):
         """The members covering bottom, in canonical order."""
-        return self.poset._labels(self._atom_mask)
+        return self._labels(self._atom_mask)
 
     @property
     def coatoms(self):
         """The members covered by top, in canonical order."""
         return self.dual().atoms
 
-    @property
-    def elements(self):
-        return self.poset.elements
-
-    def __len__(self):
-        return len(self.poset)
-
     def __eq__(self, other):
-        return isinstance(other, Lattice) and self.poset == other.poset
+        return isinstance(other, Lattice) and Poset.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(self.poset)
+    __hash__ = Poset.__hash__
 
     def __repr__(self):
         return (
             f"Lattice({len(self)} elements, bottom={self.bottom!r}, top={self.top!r})"
         )
 
-    def leq(self, u, v):
-        return self.poset.leq(u, v)
-
     def meet(self, u, v):
         return self.dual().join(u, v)
 
     def join(self, u, v):
-        P = self.poset
-        return P._label[self._join(P._at(u), P._at(v))]
+        return self._label[self._join(self._at(u), self._at(v))]
 
     def _join(self, p, q):
         """The position of the join of the members at positions p and q."""
-        P = self.poset
-        common = P._up[p] & P._up[q] & P._mask
-        return (common if P._rev else common & -common).bit_length() - 1
+        common = self._up[p] & self._up[q] & self._mask
+        return (common if self._rev else common & -common).bit_length() - 1
 
     def interior(self):
         """Elements other than bottom and top, in canonical order."""
-        return self.poset._labels(self._interior_mask())
-
-    def covers(self):
-        return self.poset.covers()
+        return self._labels(self._interior_mask())
 
     def complements(self, x):
         """All y with meet(x, y) = bottom and join(x, y) = top, in canonical
         order."""
-        P = self.poset
-        return P._labels(self._complement_mask(P._at(x)))
+        return self._labels(self._complement_mask(self._at(x)))
 
     def _complement_mask(self, p):
         """The complements of the member at position p: the members above no
         atom below p and below no coatom above p."""
-        P = self.poset
+        up, down = self._up, self._down
         blocked = 0
-        for a in _bits(P._down[p] & self._atom_mask):
-            blocked |= P._up[a]
-        for c in _bits(P._up[p] & self._coatom_mask):
-            blocked |= P._down[c]
-        return P._mask & ~blocked
+        for a in _bits(down[p] & self._atom_mask):
+            blocked |= up[a]
+        for c in _bits(up[p] & self._coatom_mask):
+            blocked |= down[c]
+        return self._mask & ~blocked
 
     def _interior_mask(self):
         """The members other than bottom and top."""
         bottom, top = self._bounds
-        return self.poset._mask & ~(1 << bottom) & ~(1 << top)
+        return self._mask & ~(1 << bottom) & ~(1 << top)
 
     # -- transforms ---------------------------------------------------------------
-
-    def restrict(self, members):
-        """Induced sublattice on ``members``; revalidates all lattice axioms."""
-        return Lattice(self.poset.restrict(members))
 
     def interval(self, u, v):
         """The sublattice {w : u <= w <= v} with bottom u and top v."""
         if not self.leq(u, v):
             raise NotComparable(f"{u!r} is not below {v!r}")
-        P = self.poset
-        return self._interval(P._at(u), P._at(v))
+        return self._interval(self._at(u), self._at(v))
 
     def _interval(self, p, q):
         """``interval`` on the positions p <= q."""
-        P = self.poset
-        mask = P._up[p] & P._down[q] & P._mask
+        mask = self._up[p] & self._down[q] & self._mask
         if q == self._bounds[1]:
             coatoms = self._coatom_mask & mask
         else:
-            coatoms = P.dual()._upper_covers(q, mask)
-        return Lattice.__new__(Lattice)._init(
-            P._view(mask), p, q, P._upper_covers(p, mask), coatoms)
+            coatoms = Poset.dual(self)._upper_covers(q, mask)
+        return self._sub(mask)._init(p, q, self._upper_covers(p, mask), coatoms)
 
     def remove_atom(self, y):
         """The sublattice without the atom y: meets that were y become bottom."""
-        p = self.poset._at(y)
+        p = self._at(y)
         if not self._atom_mask >> p & 1:
             raise NotAnAtom(f"{y!r} is not an atom")
         return self._remove_atom(p)
 
     def _remove_atom(self, p):
         """``remove_atom`` on the position p of an atom."""
-        P = self.poset
         bottom, top = self._bounds
-        mask = P._mask & ~(1 << p)
+        mask = self._mask & ~(1 << p)
         if (self._coatom_mask | 1 << top) >> p & 1:
-            return Lattice(P._view(mask), (bottom, bottom if p == top else top))
-        atoms, down, base = self._atom_mask & ~(1 << p), P._down, 1 << bottom
-        for u in _bits(P._upper_covers(p, mask)):
+            return self._sub(mask)._walk(bottom, bottom if p == top else top)
+        atoms, down, base = self._atom_mask & ~(1 << p), self._down, 1 << bottom
+        for u in _bits(self._upper_covers(p, mask)):
             if down[u] & mask == base | 1 << u:
                 atoms |= 1 << u
-        return Lattice.__new__(Lattice)._init(
-            P._view(mask), bottom, top, atoms, self._coatom_mask)
+        return self._sub(mask)._init(bottom, top, atoms, self._coatom_mask)
 
     def dual(self):
         """Order reversed: bottom/top, meet/join, atoms/coatoms all swap."""
         bottom, top = self._bounds
-        return Lattice.__new__(Lattice)._init(
-            self.poset.dual(), top, bottom, self._coatom_mask, self._atom_mask)
+        lat = self._sub(self._mask)
+        lat._up, lat._down, lat._rev = self._down, self._up, not self._rev
+        return lat._init(top, bottom, self._coatom_mask, self._atom_mask)
 
     def comparability_components(self):
         """Connected components of the comparability graph on the interior.
 
         Returned as frozensets ordered by their canonically-first member.
         """
-        label = self.poset._label
-        return tuple(frozenset(map(label.__getitem__, _bits(comp)))
+        return tuple(frozenset(map(self._label.__getitem__, _bits(comp)))
                      for comp in self._components())
 
     def _components(self):
         """``comparability_components`` as masks."""
-        P = self.poset
-        up, down = P._up, P._down
+        up, down = self._up, self._down
         rest = self._interior_mask()
         comps = []
-        for p in P._sorted(rest):
+        for p in self._sorted(rest):
             if not rest >> p & 1:
                 continue
             comp, frontier = 0, 1 << p
@@ -555,7 +557,7 @@ class Lattice:
 
     def interior_set(self):
         """The interior as a view of the poset."""
-        return self.poset._view(self._interior_mask())
+        return self._view(self._interior_mask())
 
 
 # --- file format -----------------------------------------------------------------
@@ -587,7 +589,7 @@ def parse_lattice(text):
         for item in covers:
             if not (_strings(item) and len(item) == 2):
                 raise ParseError(f'bad cover entry {item!r}: expected ["u", "v"]')
-        return Lattice(Poset.from_covers(elements, covers))
+        return Lattice.from_covers(elements, covers)
 
     elements = None
     covers = []
@@ -612,7 +614,7 @@ def parse_lattice(text):
             raise ParseError(f"line {lineno}: unrecognised directive {line!r}")
     if elements is None:
         raise ParseError("document has no elements line")
-    return Lattice(Poset.from_covers(elements, covers))
+    return Lattice.from_covers(elements, covers)
 
 
 def format_lattice(lattice, as_json=False):
@@ -671,7 +673,7 @@ def dedekind_macneille(poset):
             if a & ~b == 0:
                 up[i] |= 1 << j
                 down[j] |= 1 << i
-    return Lattice(Poset._root(tuple(labels), range(len(cuts)), up, down))
+    return Lattice._root(tuple(labels), range(len(cuts)), up, down)
 
 
 def product_lattice(left, right):
@@ -685,7 +687,7 @@ def product_lattice(left, right):
     labels = [f"{a}*{b}" for a in left.elements for b in rights]
     covers = [(f"{a}*{b}", f"{c}*{b}") for a, c in left.covers() for b in rights]
     covers += [(f"{a}*{b}", f"{a}*{d}") for a in left.elements for b, d in right.covers()]
-    return Lattice(Poset.from_covers(labels, covers))
+    return Lattice.from_covers(labels, covers)
 
 
 def _interior_labels(count):
@@ -704,7 +706,7 @@ def _gen_chain(n):
     else:
         labels = ["0"] + _interior_labels(n - 2) + ["1"]
     covers = [(labels[i], labels[i + 1]) for i in range(n - 1)]
-    return Lattice(Poset.from_covers(labels, covers))
+    return Lattice.from_covers(labels, covers)
 
 
 def _gen_boolean(n):
@@ -722,7 +724,7 @@ def _gen_boolean(n):
     subsets = sorted(range(1 << n), key=lambda s: (s.bit_count(), label[s]))
     covers = [(label[s], label[s | 1 << i]) for s in subsets for i in range(n)
               if not s >> i & 1]
-    return Lattice(Poset.from_covers([label[s] for s in subsets], covers))
+    return Lattice.from_covers([label[s] for s in subsets], covers)
 
 
 def _gen_divisor(n):
@@ -740,7 +742,7 @@ def _gen_divisor(n):
         if all(d % p for p in primes):
             primes.append(d)
     covers = [(str(d), str(d * p)) for d in divisors for p in primes if n % (d * p) == 0]
-    return Lattice(Poset.from_covers([str(d) for d in divisors], covers))
+    return Lattice.from_covers([str(d) for d in divisors], covers)
 
 
 def _set_partitions(n):
@@ -787,7 +789,7 @@ def _gen_partition(n):
         for _, lab, blocks in decorated
         for j in range(len(blocks)) for i in range(j)
     ]
-    return Lattice(Poset.from_covers([lab for _, lab, _ in decorated], covers))
+    return Lattice.from_covers([lab for _, lab, _ in decorated], covers)
 
 
 def _gen_random(n, edge_probability, seed):

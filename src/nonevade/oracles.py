@@ -149,11 +149,10 @@ def mobius(lattice):
     mu > 0 and mu < 0 whose |mu| has bit b, so p's down-set d sums to
     sum_b 2^b (popcount(d & pos) - popcount(d & neg)): O(B) whole-mask
     steps per member for B bits of the largest |mu|, with no cap."""
-    P = lattice.poset
     bottom = lattice._bounds[0]
-    down, members = P._down, P._mask & ~(1 << bottom)
+    down, members = lattice._down, lattice._mask & ~(1 << bottom)
     planes, mu = [[1 << bottom, 0]], 1  # the top comes last, or is the bottom
-    for p in sorted(_bits(members), reverse=True) if P._rev else _bits(members):
+    for p in sorted(_bits(members), reverse=True) if lattice._rev else _bits(members):
         d, mu = down[p], 0
         for b, (pos, neg) in enumerate(planes):
             mu += ((d & neg).bit_count() - (d & pos).bit_count()) << b

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from functools import partial
 from itertools import combinations
 from random import Random
@@ -285,6 +286,26 @@ def test_exhaustive_single_point():
     assert report.subsets_tested == 2
     assert report.max_queries == 0
     assert report.mismatches == 0
+
+
+def test_exhaustive_check_asks_each_ordered_pair_at_most_once():
+    # a constant yes over boolean-3's interior (two ranks, not a chain)
+    # reaches the chain count, whose down-sets come from the same calls
+    lat = generate("boolean", 3)
+    ground = lat.interior()
+    calls = Counter()
+
+    def leq(u, v):
+        calls[u, v] += 1
+        return lat.leq(u, v)
+
+    report = exhaustive_check(_YES, ground, leq)
+    chains = sum(all(lat.leq(u, v) or lat.leq(v, u) for u, v in combinations(s, 2))
+                 for r in range(len(ground) + 1) for s in combinations(ground, r))
+    assert (report.subsets_tested, report.mismatches) == (64, 64 - chains)
+    assert 0 < report.mismatches < report.subsets_tested
+    assert max(calls.values()) == 1
+    assert len(calls) <= len(ground) * (len(ground) - 1)
 
 
 def test_exhaustive_check_names_a_query_outside_the_ground():

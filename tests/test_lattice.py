@@ -18,6 +18,7 @@ from nonevade.errors import (
     UnknownElement,
     UnknownFamily,
 )
+from nonevade.complexes import order_complex
 from nonevade.corpus import BOWTIE_TEXT, M3_TEXT, N5_TEXT, named_corpus, random_corpus
 from nonevade.lattice import (
     MAX_ELEMENTS,
@@ -892,19 +893,55 @@ def test_label_reads_are_pinned_and_leave_views_untouched():
             off += type(lat.poset._rank) is not range
             dual = lat.dual()
             views = (lat, lat.poset, dual, dual.poset)
-            before = [[getattr(v, s) for s in type(v).__slots__] for v in views]
+            # a lattice's slots are its own and its Poset base's
+            slots = [[s for c in type(v).__mro__ for s in getattr(c, "__slots__", ())]
+                     for v in views]
+            before = [[getattr(v, s) for s in names] for v, names in zip(views, slots)]
             for view in views[::2]:
                 reads = [name, seed, view.elements, view.atoms, view.coatoms,
                          view.interior(), view.dual().atoms,
                          {e: view.complements(e) for e in view.elements}]
                 digest.update(json.dumps(reads).encode() + b"\n")
-            after = [[getattr(v, s) for s in type(v).__slots__] for v in views]
+            after = [[getattr(v, s) for s in names] for v, names in zip(views, slots)]
             assert all(a is b for old, new in zip(before, after)
                        for a, b in zip(old, new)), name
     assert off == 57
     assert digest.hexdigest() == (
         "fbce2afd6d6ab0dbd8b9ff165177803cff44bb1f8418f93e1fb9c89385e6fab6"
     )
+
+
+def test_a_lattice_is_its_own_poset_view():
+    # one object per sublattice: a lattice is a Poset view sharing its
+    # root's ground and masks, and its poset is the plain order of it
+    assert Lattice.leq is Poset.leq
+    assert not {"elements", "__len__", "leq", "covers"} & set(vars(Lattice))
+    for name, root in named_corpus():
+        assert Lattice.from_covers(root.elements, root.covers()) == root, name
+        y, c = root._atom_mask, root._coatom_mask
+        y, c = (y & -y).bit_length() - 1, (c & -c).bit_length() - 1
+        lats = [root, root.dual(), Lattice(root.poset), Lattice(root),
+                root._remove_atom(y), root._interval(y, root._bounds[1]),
+                root.dual()._remove_atom(c), root._interval(root._bounds[0], c),
+                root.restrict(root.elements)]
+        if len(root) > 2:
+            lats.append(root.restrict(set(root.elements) - set(root.atoms[:1])))
+        for lat in lats:
+            assert type(lat) is Lattice and isinstance(lat, Poset), name
+            assert lat._label is root._label and lat._pos is root._pos, name
+            assert lat._rank is root._rank, name
+            assert {id(lat._up), id(lat._down)} == {id(root._up), id(root._down)}
+            assert (lat._up is root._down) == lat._rev, name
+            plain = lat.poset
+            assert type(plain) is Poset, name
+            assert (plain._mask, plain._rev) == (lat._mask, lat._rev), name
+            assert plain._up is lat._up and plain._label is lat._label, name
+            assert lat != plain and plain != lat, name
+            assert not (lat == plain or plain == lat), name
+            assert hash(lat) == hash(plain), name
+            assert lat == Lattice(plain) and plain == plain.restrict(lat.elements)
+            if lat._interior_mask():
+                assert order_complex(lat) == order_complex(plain), name
 
 
 # --- interior sets -----------------------------------------------------------------
