@@ -4,10 +4,12 @@
 a chosen interior element, producing a certificate tree whose nodes are
 Leaf, Prune and Split; a repeated subproblem is one shared node, so in
 memory the tree is a DAG.  ``verify_certificate`` checks a certificate
-against a complex using nothing but link/deletion, and
-``extract_collapses`` compiles a verified certificate into an explicit
-elementary-collapse sequence.  Every walker does its work once per
-distinct node.
+against a complex using nothing but link/deletion: an order complex on
+member masks of its root, where a deletion or a link is one mask
+operation and the memo key is the member mask, and any other complex on
+its facets.  ``extract_collapses`` compiles a verified certificate into
+an explicit elementary-collapse sequence.  Every walker does its work
+once per distinct node.
 """
 
 from __future__ import annotations
@@ -524,14 +526,29 @@ def verify_certificate(complex_, certificate):
     verify against the deletion and link of its vertex.  Returns a
     VerifyResult carrying the path to the first failing node.
 
-    A node reached again with an equal complex is not checked again.  All
-    complexes of one call share the input's vertex ground, and a failure
-    ends the walk, so only ok results are ever reused.
+    An order complex is walked on member masks of its root: every
+    deletion and link in it is the order complex of a member set, a
+    member view named by its mask, and each step is a mask operation.  Any
+    other complex is walked on its facets, the generic path and the
+    reference; both walks take the same steps and give the same result.
+
+    A node reached again with an equal complex is not checked again: the
+    memo key is the node with the member mask of an order complex, or with
+    the facets of any other.  All complexes of one call share the input's
+    vertex ground, and a failure ends the walk, so only ok results are
+    ever reused.
     """
+    if complex_._order is not None:
+        complex_ = complex_._derive(complex_._vmask, None)
     return _verify((complex_, certificate, ()))
 
 
-@partial(_iterative, key=lambda args: (id(args[1]), args[0]._facets))
+def _verify_key(args):
+    c, node, _ = args
+    return id(node), c._vmask if c._facets is None else c._facets
+
+
+@partial(_iterative, key=_verify_key)
 def _verify(args):
     c, node, path = args
     vmask = c._vmask
@@ -552,17 +569,18 @@ def _verify(args):
             )
         return (yield c, node.child, path + ("child",))
     if isinstance(node, Split):
-        if not c._mask((node.vertex,)):
+        b = c._mask((node.vertex,))
+        if not b:
             return VerifyResult(False, path, f"split vertex {node.vertex!r} missing")
         try:
-            dl = c.deletion(node.vertex)
+            dl = c._deletion(b)
         except LastVertex as exc:
             return VerifyResult(False, path, f"deletion failed: {exc}")
         result = yield dl, node.dl, path + ("dl",)
         if not result.ok:
             return result
         try:
-            lk = c.link(node.vertex)
+            lk = c._link(b)
         except EmptyLink as exc:
             return VerifyResult(False, path + ("lk",), f"link failed: {exc}")
         return (yield lk, node.lk, path + ("lk",))
@@ -713,8 +731,9 @@ def audit_certificate(lattice, element, certificate):
     of y is Δ(P<y ⊕ P>y), the order complex of the members comparable to
     y (Björner, *Topological methods*, Handbook of Combinatorics, 1995).
     With c the certified mask of the parent, the deletion child's mask
-    must be c & ~y and the link child's c ∩ (up[y] ∪ down[y]) ∖ y.  The
-    literal link and deletion are checked by ``verify_certificate``.
+    must be c & ~y and the link child's c ∩ (up[y] ∪ down[y]) ∖ y.
+    ``verify_certificate`` walks an order complex on the same masks, and
+    any other complex on its facets.
     """
     splits, prunes, leaves, failures = _audit(
         (lattice, element, certificate, _certified(lattice, element))

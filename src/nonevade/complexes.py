@@ -23,6 +23,17 @@ v stay facets and no shrunk facet f - v contains one of them (it would lie
 in f); a shrunk facet is a facet unless it lies in a kept one, and that
 is the only test made.
 
+An order complex also keeps its root's order masks, handed to it at
+construction.  Every complex the certificate's recursion meets in it is
+again the order complex of a member set of the root: deleting v from
+Delta(Q) gives Delta(Q - v), and the link of v is Delta of the members of
+Q comparable to v, since a chain through v is v plus a chain of those.
+So ``verify_certificate`` walks an order complex on member views: a
+complex with no facet list, named by its member mask m, whose deletion of
+v is ``m & ~b`` and whose link is ``m & (up[v] | down[v]) & ~b``.  Member
+views exist only inside that walk; ``link`` and ``deletion`` of an order
+complex are built from its facets like any other.
+
 The full face list is made on demand, a new set on each call, when Euler
 characteristics, collapse replays or the collapse search need it.  The
 empty face is implicit and never listed.
@@ -54,7 +65,7 @@ class Complex:
     faces), and no facet may contain another.
     """
 
-    __slots__ = ("_label", "_pos", "_rank", "_vmask", "_facets")
+    __slots__ = ("_label", "_pos", "_rank", "_vmask", "_facets", "_order")
 
     def __init__(self, vertices, faces):
         vertices = tuple(vertices)
@@ -83,14 +94,17 @@ class Complex:
             raise ValueError(f"vertices {missing} appear in no facet")
         self._facets = frozenset(facets)
 
-    def _init(self, label, pos, rank, vmask, facets):
+    def _init(self, label, pos, rank, vmask, facets, order=None):
+        # order: the root's (up, down) masks of an order complex, else None
         self._label, self._pos, self._rank = label, pos, rank
-        self._vmask, self._facets = vmask, facets
+        self._vmask, self._facets, self._order = vmask, facets, order
 
     def _derive(self, vmask, facets):
-        """A complex on the same ground."""
+        """A complex on the same ground: built from ``facets``, or with
+        facets None the member view of ``vmask`` in an order complex."""
         c = Complex.__new__(Complex)
-        c._init(self._label, self._pos, self._rank, vmask, facets)
+        c._init(self._label, self._pos, self._rank, vmask, facets,
+                None if facets is not None else self._order)
         return c
 
     # the labels in a mask, in canonical order: a ground reads like a poset's
@@ -168,21 +182,35 @@ class Complex:
 
     def link(self, v):
         """Faces whose union with v is a face, on the neighbours of v."""
-        b = self._bit(v)
-        # facets through v stay incomparable without v: no maximality pass
-        facets = frozenset([f ^ b for f in self._facets if f & b])
-        vmask = 0
-        for f in facets:
-            vmask |= f
-        if not vmask:
-            raise EmptyLink(f"vertex {v!r} is isolated")
-        return self._derive(vmask, facets)
+        return self._link(self._bit(v))
 
     def deletion(self, v):
         """The complex minus every face containing v."""
-        b = self._bit(v)
+        return self._deletion(self._bit(v))
+
+    def _link(self, b):
+        """The link of the vertex at bit ``b``."""
+        p = b.bit_length() - 1
+        if self._facets is None:
+            # a chain through v is v plus a chain of members comparable to v
+            up, down = self._order
+            vmask, facets = self._vmask & (up[p] | down[p]) & ~b, None
+        else:
+            # facets through v stay incomparable without v: no maximality pass
+            facets = frozenset([f ^ b for f in self._facets if f & b])
+            vmask = 0
+            for f in facets:
+                vmask |= f
+        if not vmask:
+            raise EmptyLink(f"vertex {self._label[p]!r} is isolated")
+        return self._derive(vmask, facets)
+
+    def _deletion(self, b):
+        """The deletion of the vertex at bit ``b``."""
         if self._vmask == b:
             raise LastVertex("cannot delete the only vertex")
+        if self._facets is None:
+            return self._derive(self._vmask ^ b, None)
         kept, star = [], []
         for f in self._facets:
             (star if f & b else kept).append(f)
@@ -286,6 +314,8 @@ def order_complex(poset):
 
     Facets are the maximal chains, enumerated on an explicit stack by
     walking cover steps of the induced order from its minimal members.
+    The complex keeps the root's order masks, so ``verify_certificate``
+    walks it on member masks.
     """
     if not isinstance(poset, Poset):
         raise TypeError("order_complex expects a Poset")
@@ -305,7 +335,8 @@ def order_complex(poset):
         for q in _bits(covers[p]):
             stack.append((q, chain | 1 << q))
     c = Complex.__new__(Complex)
-    c._init(poset._label, poset._pos, poset._rank, vmask, frozenset(facets))
+    c._init(poset._label, poset._pos, poset._rank, vmask, frozenset(facets),
+            (poset._up, down))
     return c
 
 
@@ -315,15 +346,25 @@ def replay_collapses(complex_, sequence):
     Raises NotFreePair at the first bad step and ReplayMismatch if the
     surviving complex is not exactly the stated final vertex; returns the
     final (single-point) complex otherwise.
+
+    A coface of a face lies in a facet with every vertex of the face, so
+    the cofaces are sought only among the vertices of ``star[q]``, the
+    union of the facets through q, for every q in the face.
     """
     faces = complex_._face_mask_set()
-    mask, vmask = complex_._mask, complex_._vmask
+    mask, star = complex_._mask, [0] * len(complex_._label)
+    for f in complex_._facets:
+        for q in _bits(f):
+            star[q] |= f
     for index, pair in enumerate(sequence.pairs):
         free = mask(pair.free_face)
         if free is None or free not in faces:
             raise NotFreePair(index, "not-a-face", f"{sorted(pair.free_face)}")
+        near = -1
+        for q in _bits(free):
+            near &= star[q]
         cofaces = [
-            free | 1 << p for p in _bits(vmask & ~free) if free | 1 << p in faces
+            free | 1 << p for p in _bits(near & ~free) if free | 1 << p in faces
         ]
         if len(cofaces) != 1:
             raise NotFreePair(

@@ -61,15 +61,17 @@ def _brute_cert(args):
     if key in memo:
         return memo[key]
     found = None
-    for v in c.vertices:
-        if c._bit(v) in c._facets:
+    for p in sorted(_bits(c._vmask), key=c._rank.__getitem__):
+        b = 1 << p
+        if b in c._facets:
             continue  # isolated: its link is empty
-        dl_cert = yield c.deletion(v), memo
+        dl_cert = yield c._deletion(b), memo
         if dl_cert is None:
             continue
-        lk_cert = yield c.link(v), memo
+        lk_cert = yield c._link(b), memo
         if lk_cert is None:
             continue
+        v = c._label[p]
         found = Split(v, "case2_atom", v, dl_cert, lk_cert)
         break
     memo[key] = found

@@ -22,6 +22,7 @@ from .certify import (
     extract_collapses,
     verify_certificate,
 )
+from .complexes import Complex
 from .corpus import full_corpus, random_complexes
 from .errors import NonevadeError
 from .lattice import generate
@@ -100,7 +101,10 @@ class CorpusRun:
                 try:
                     cert, _ = certify(lattice, x)
                     complex_ = certificate_complex(lattice, x)
-                    result = verify_certificate(complex_, cert)
+                    # a facet-built copy: C1 runs verify's generic walk, the
+                    # reference, where C3's extraction walks member masks
+                    result = verify_certificate(
+                        Complex(complex_.vertices, complex_.facets), cert)
                     if not result.ok:
                         self.certify_failures.append(
                             f"{name}/{x}: verification failed at "

@@ -29,8 +29,8 @@ from nonevade.certify import (
     verify_certificate,
 )
 from nonevade.chain_game import Answer, Query, compile_strategy, strategy_to_obj
-from nonevade.complexes import Complex, replay_collapses
-from nonevade.corpus import M3_TEXT, N5_TEXT, named_corpus, random_corpus
+from nonevade.complexes import Complex, order_complex, replay_collapses
+from nonevade.corpus import M3_TEXT, N5_TEXT, full_corpus, named_corpus, random_corpus
 from nonevade.errors import (
     ElementOnBoundary,
     ParseError,
@@ -38,6 +38,7 @@ from nonevade.errors import (
     VerificationFailed,
 )
 from nonevade.lattice import Lattice, Poset, generate, parse_lattice
+from nonevade.oracles import brute_certificate
 
 
 @pytest.fixture
@@ -526,6 +527,19 @@ def test_verify_rechecks_a_shared_node_on_another_complex():
     assert not result.ok and result.path == ("lk", "lk")
 
 
+def test_mask_walk_rechecks_a_shared_node_on_another_member_set():
+    # c < a, v < a, a < b: the edge {c, a} and the link of v, the edge
+    # {a, b}, are member sets of one size; the edge certificate shared by
+    # both verifies the first and not the second, on masks as on facets
+    P = Poset.from_covers(["c", "v", "a", "b"], [("c", "a"), ("v", "a"), ("a", "b")])
+    ca = Split("a", "case2_atom", "c", Leaf("c"), Leaf("c"))
+    cert = Split("v", "case1_atom", "a", Split("b", "case1_atom", "a", ca, ca), ca)
+    c = order_complex(P)
+    expected = VerifyResult(False, ("lk", "dl"), "leaf names 'c' but the vertex is 'b'")
+    assert verify_certificate(c, cert) == expected
+    assert verify_certificate(Complex(c.vertices, c.facets), cert) == expected
+
+
 # --- serialisation --------------------------------------------------------------------
 
 
@@ -803,3 +817,82 @@ def test_certify_verify_audit_random(seed, shuffle):
         complex_ = certificate_complex(lat, x)
         assert verify_certificate(complex_, cert).ok
         assert audit_certificate(lat, x, cert).ok
+
+
+# --- the mask walk against the facet walk -------------------------------------------
+
+
+def _reason_kind(reason):
+    return " ".join(reason.split()[:2]).rstrip(":")
+
+
+def _isolated_split(c, rng):
+    """A certificate that splits c on a vertex v, then on a vertex u whose
+    only neighbour was v: u is isolated in c - v, so its link is empty.
+    The deletion c - v - u is certified by the brute search, if it can be;
+    None when c has no such pair or is too big to search."""
+    if not 3 <= len(c.vertices) <= 9:
+        return None
+    pairs = []
+    for v in c.vertices:
+        dl = c.deletion(v)
+        facets = dl.facets
+        pairs += [(v, u) for u in dl.vertices if frozenset({u}) in facets]
+    if not pairs:
+        return None
+    v, u = rng.choice(pairs)
+    rest = brute_certificate(c.deletion(v).deletion(u)) or Leaf(u)
+    return _split(v, _split(u, rest, Leaf(v)), Leaf(u))
+
+
+def _mutants(cert, c, rng):
+    """Seeded mutants of a certificate for the complex c: a vertex swap,
+    swapped children, an added prune label, a wrong leaf, a split on a
+    vertex's last position, a foreign node and a split on an isolated
+    vertex."""
+    nodes = _distinct_nodes(cert)
+    splits = [n for n in nodes if isinstance(n, Split)]
+    leaves = [n for n in nodes if isinstance(n, Leaf)]
+    vertices = c.vertices
+    out = []
+    if splits:
+        s = rng.choice(splits)
+        out.append(_replace(cert, s, Split(rng.choice(vertices), s.mode,
+                                           s.link_element, s.dl, s.lk)))
+        s = rng.choice(splits)
+        out.append(_replace(cert, s, Split(s.vertex, s.mode, s.link_element,
+                                           s.lk, s.dl)))
+    n = rng.choice(nodes)
+    removed = n.removed if isinstance(n, Prune) else ()
+    out.append(_replace(cert, n, Prune(removed + (rng.choice(vertices),),
+                                       n.child if isinstance(n, Prune) else n)))
+    out.append(_replace(cert, rng.choice(nodes), Leaf(rng.choice(vertices))))
+    leaf = rng.choice(leaves)
+    out.append(_replace(cert, leaf, _split(leaf.vertex, leaf, leaf)))
+    out.append(_replace(cert, rng.choice(nodes), Answer(True)))
+    isolated = _isolated_split(c, rng)
+    if isolated is not None:
+        out.append(isolated)
+    return out
+
+
+def test_mask_walk_matches_the_facet_walk():
+    # an order complex is verified on member masks of its root, any other
+    # complex on its facets: on the corpus and on seeded mutants of its
+    # certificates both walks give equal results, reaching every reason
+    kinds = set()
+    for index, (name, lat) in enumerate(full_corpus(100)):
+        rng = Random(index)
+        for x in lat.interior():
+            cert, _ = certify(lat, x)
+            c = certificate_complex(lat, x)
+            assert c._order is not None
+            facet_built = Complex(c.vertices, c.facets)
+            assert facet_built._order is None
+            for candidate in [cert] + _mutants(cert, c, rng):
+                result = verify_certificate(c, candidate)
+                assert result == verify_certificate(facet_built, candidate), (name, x)
+                if not result.ok:
+                    kinds.add(_reason_kind(result.reason))
+    assert kinds == {"leaf against", "leaf names", "pruned vertices", "split vertex",
+                     "deletion failed", "link failed", "unknown node"}, kinds

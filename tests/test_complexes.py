@@ -4,7 +4,12 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonevade.certify import certificate_complex, interior_members
+from nonevade.certify import (
+    certificate_complex,
+    certify,
+    extract_collapses,
+    interior_members,
+)
 
 from nonevade.complexes import (
     CollapsePair,
@@ -22,7 +27,7 @@ from nonevade.errors import (
     ReplayMismatch,
     UnknownVertex,
 )
-from nonevade.lattice import generate, parse_lattice
+from nonevade.lattice import _bits, generate, parse_lattice
 from nonevade.corpus import M3_TEXT, random_complexes, random_corpus
 
 
@@ -272,6 +277,94 @@ def test_replay_mismatch_when_final_wrong():
     c = Complex("ab", [{"a", "b"}])
     with pytest.raises(ReplayMismatch):
         replay_collapses(c, seq([({"b"}, {"a", "b"})], "b"))
+
+
+def reference_replay(complex_, sequence):
+    """The replay before it sought cofaces inside the star of the face:
+    every vertex outside the free face is tried."""
+    faces = complex_._face_mask_set()
+    mask, vmask = complex_._mask, complex_._vmask
+    for index, pair in enumerate(sequence.pairs):
+        free = mask(pair.free_face)
+        if free is None or free not in faces:
+            raise NotFreePair(index, "not-a-face", f"{sorted(pair.free_face)}")
+        cofaces = [
+            free | 1 << p for p in _bits(vmask & ~free) if free | 1 << p in faces
+        ]
+        if len(cofaces) != 1:
+            raise NotFreePair(
+                index, "multiple-cofaces",
+                f"{sorted(pair.free_face)} has {len(cofaces)} cofaces",
+            )
+        if cofaces[0] != mask(pair.coface):
+            raise NotFreePair(
+                index, "wrong-coface",
+                f"expected {sorted(complex_._labels(cofaces[0]))}, "
+                f"got {sorted(pair.coface)}",
+            )
+        faces.remove(free)
+        faces.remove(cofaces[0])
+    final = sequence.final_vertex
+    if faces != {mask((final,))}:
+        raise ReplayMismatch(
+            f"{len(faces)} faces remain after replay, "
+            f"expected the single vertex {final!r}"
+        )
+    return Complex([final], [frozenset({final})])
+
+
+def _replay_outcome(replay, complex_, sequence):
+    try:
+        return "ok", replay(complex_, sequence)
+    except NotFreePair as exc:
+        return type(exc), exc.index, exc.reason, str(exc)
+    except ReplayMismatch as exc:
+        return type(exc), str(exc)
+
+
+def _mutated(sequence, vertices, rng):
+    """Seeded mutants of a collapse sequence: two pairs swapped, a pair
+    dropped, a wrong coface, a free face that is no face, a wrong final
+    vertex."""
+    pairs, final = list(sequence.pairs), sequence.final_vertex
+    i, j = rng.randrange(len(pairs)), rng.randrange(len(pairs))
+    swapped = list(pairs)
+    swapped[i], swapped[j] = pairs[j], pairs[i]
+    free = pairs[i].free_face
+    others = [v for v in vertices if v not in free]
+    u, w = rng.choice(vertices), rng.choice(vertices + ["nowhere"])
+    return [
+        CollapseSequence(swapped, final),
+        CollapseSequence(pairs[:i] + pairs[i + 1:], final),
+        CollapseSequence(pairs[:i] + [CollapsePair(free, free | {rng.choice(others)})]
+                         + pairs[i + 1:], final),
+        CollapseSequence(pairs[:i] + [CollapsePair({u, w}, {u, w, "elsewhere"})]
+                         + pairs[i + 1:], final),
+        CollapseSequence(pairs, rng.choice(vertices)),
+    ]
+
+
+def test_replay_matches_the_full_scan_reference():
+    # cofaces sought inside the star of the face: the same verdict, index,
+    # reason and message as trying every vertex, on order complexes and on
+    # facet-built copies, for extracted sequences and seeded mutants
+    rng, reasons = Random(3), set()
+    for _, lat in random_corpus(count=30):
+        for x in lat.interior():
+            c = certificate_complex(lat, x)
+            cert, _ = certify(lat, x)
+            sequence = extract_collapses(cert, c)
+            if not sequence.pairs:
+                continue
+            copy = Complex(c.vertices, c.facets)
+            for s in [sequence] + _mutated(sequence, list(c.vertices), rng):
+                for complex_ in (c, copy):
+                    outcome = _replay_outcome(replay_collapses, complex_, s)
+                    assert outcome == _replay_outcome(reference_replay, complex_, s)
+                    reasons.add(outcome[2] if outcome[0] is NotFreePair
+                                else outcome[0])
+    assert reasons == {"ok", "not-a-face", "multiple-cofaces", "wrong-coface",
+                       ReplayMismatch}, reasons
 
 
 def test_collapse_pair_validation():
