@@ -254,14 +254,17 @@ def certify(lattice, element):
     is interior) are still re-checked; a violation raises
     InternalAssertion because it indicates a bug, never bad input.
 
-    Different paths through the recursion often reach the same sublattice
-    with the same element.  One call solves each such subproblem once and
-    returns the same node object wherever it recurs, so the certificate is
-    a DAG whose size in memory is the number of distinct subproblems; it
-    still reads as a tree (its JSON is the tree written out).  The
-    recursion runs on an explicit stack, so any depth is certified.  The
-    trace stores each distinct node's decision once and is written out as
-    the tree's preorder log only by its ``entries`` and ``to_obj``.
+    Different paths through the recursion often reach sublattices with
+    the same interior and the same element.  A step reads only the
+    interior, since the bounds lie below and above all of it, so
+    sublattices that differ only in their bounds are one subproblem.  One
+    call solves each subproblem once and returns the same node object
+    wherever it recurs, so the certificate is a DAG whose size in memory
+    is the number of distinct subproblems; it still reads as a tree (its
+    JSON is the tree written out).  The recursion runs on an explicit
+    stack, so any depth is certified.  The trace stores each distinct
+    node's decision once and is written out as the tree's preorder log
+    only by its ``entries`` and ``to_obj``.
     """
     # complements are interior, so the certified set fixes them
     co = lattice._interior_mask() & ~_certified(lattice, element)
@@ -359,9 +362,12 @@ def _record(records, node, **entry):
     return node
 
 
-# a view is fixed by its root, member mask and orientation
-@partial(_iterative, key=lambda args: (
-    args[0]._mask, args[0]._rev, args[1]))
+# a step reads only the interior and x: the bounds lie below and above
+# all of it, and a lattice's size is its interior's plus 2.  So
+# sublattices that differ only in their bounds share one node.  Every
+# view a run reaches has the root call's orientation, since coatom
+# children are dualled back, so the key leaves the orientation out
+@partial(_iterative, key=lambda args: (args[0]._interior_mask(), args[1]))
 def _certify(args):
     """The certificate for (L, x), where co is the complement mask of x;
     a recursive call yields (view, element, complement mask, records).  The
@@ -720,9 +726,10 @@ def audit_certificate(lattice, element, certificate):
     identities behind the case-1 reductions (or emptiness for case 2).
     Prunes must leave the complex unchanged.  Returns an AuditReport
     listing every discrepancy, at every path where it occurs.  A node
-    reached again on the same sublattice with the same element is not
-    audited again: its tally, failures included, is reused under the new
-    path.
+    reached again on a sublattice with the same interior and the same
+    element is not audited again, since the bounds lie below and above
+    all of the interior: its tally, failures included, is reused under
+    the new path.
 
     Every complex here is the order complex of a set of members of one
     root, and the order complex of a poset is fixed by its member set,
@@ -749,9 +756,10 @@ def _below(step, failures):
 
 
 # the complex a node is audited against is the certified complex of its
-# (sublattice, element), so that pair and the node identify the audit
+# (interior, element), so that pair and the node identify the audit; as
+# in ``_certify``, every view has the root call's orientation
 @partial(_iterative, key=lambda args: (
-    id(args[2]), args[0]._mask, args[0]._rev, args[1]))
+    id(args[2]), args[0]._interior_mask(), args[1]))
 def _audit(args):
     """Tally (splits, prunes, leaves, failures) of one subtree, audited
     against c, the certified mask of (L, x); a failure is a (path below

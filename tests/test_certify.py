@@ -13,9 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 import nonevade
 from nonevade.certify import (
+    CertifyTrace,
     Leaf,
     Prune,
     Split,
+    _audit,
+    _certified,
+    _certify,
+    _iterative,
     audit_certificate,
     certificate_complex,
     certificate_from_obj,
@@ -269,17 +274,15 @@ def test_named_corpus_in_shuffled_element_orders_is_unchanged():
 
 
 def _distinct_nodes(cert):
-    """The node objects of a certificate, each once, by identity."""
+    """The node objects of a certificate or a strategy, each once, by
+    identity."""
     seen, stack = {}, [cert]
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen[id(node)] = node
-        if isinstance(node, Prune):
-            stack.append(node.child)
-        elif isinstance(node, Split):
-            stack += [node.dl, node.lk]
+        stack += [getattr(node, kid) for kid in node._kids]
     return list(seen.values())
 
 
@@ -324,7 +327,9 @@ def test_chain_certificate_shares_its_subproblems():
     chain = generate("chain", 14)
     cert, trace = certify(chain, "g")
     assert certificate_size(cert) == len(trace) == 4095
-    assert len(_distinct_nodes(cert)) == 168
+    # one node per (interior, element): sub-chains whose interiors are
+    # equal are one subproblem, whatever their bounds
+    assert len(_distinct_nodes(cert)) == 12
     obj = certificate_to_obj(cert)
     tree = certificate_from_obj(obj)
     assert len(_distinct_nodes(tree)) == 4095
@@ -471,12 +476,13 @@ def test_dag_certificates_check_like_their_trees(seed, pick):
 
 
 def _subproblems(lat, x, cert):
-    """The (sublattice elements, element) pairs each node is reached at,
-    derived with coatom deletions and lower intervals, by node id."""
+    """The (sublattice interior, sublattice elements, element) triples each
+    node is reached at, derived with coatom deletions and lower intervals,
+    by node id."""
     out, stack = {}, [(lat, x, cert)]
     while stack:
         L, e, node = stack.pop()
-        out.setdefault(id(node), (node, set()))[1].add((L.elements, e))
+        out.setdefault(id(node), (node, set()))[1].add((L.interior(), L.elements, e))
         if isinstance(node, Prune):
             kept = [u for u in L.elements if u not in node.removed]
             stack.append((L.restrict(kept), e, node.child))
@@ -492,20 +498,23 @@ def _subproblems(lat, x, cert):
 
 
 def test_one_sublattice_certified_at_two_elements():
-    # the one sublattice of the acceptance corpus that certify reaches with
-    # two different elements: the memo keys must tell them apart
+    # the one interior of the acceptance corpus that certify reaches with
+    # two different elements: the memo keys must tell them apart.  A node
+    # stands for one (interior, element), and here some nodes are reached
+    # on several sublattices that differ only in their bounds
     (_, lat), = random_corpus(count=1, seed_start=485)
     x = "(p0+p1+p6)"
     cert, _ = certify(lat, x)
     assert verify_certificate(certificate_complex(lat, x), cert).ok
     assert audit_certificate(lat, x, cert).ok
-    by_sublattice = {}
+    by_interior, bounds_shared = {}, 0
     for node, reached in _subproblems(lat, x, cert).values():
-        assert len(reached) == 1
-        (elements, e), = reached
-        by_sublattice.setdefault(elements, {})[e] = node
+        (interior, e), = {(interior, e) for interior, _, e in reached}
+        by_interior.setdefault(interior, {})[e] = node
+        bounds_shared += len(reached) > 1
+    assert bounds_shared == 21
     (first, second), = [tuple(by_element.values())
-                        for by_element in by_sublattice.values()
+                        for by_element in by_interior.values()
                         if len(by_element) > 1]
     # either node standing in for the other breaks the audit there, in the
     # DAG as in its tree
@@ -896,3 +905,87 @@ def test_mask_walk_matches_the_facet_walk():
                     kinds.add(_reason_kind(result.reason))
     assert kinds == {"leaf against", "leaf names", "pruned vertices", "split vertex",
                      "deletion failed", "link failed", "unknown node"}, kinds
+
+
+# --- the interior key against the member-mask key ------------------------------------
+
+
+def _ordinal_sum(k):
+    """0 < k atoms < m < k coatoms < 1."""
+    atoms = [f"a{i}" for i in range(k)]
+    coatoms = [f"c{i}" for i in range(k)]
+    covers = [("0", a) for a in atoms] + [(a, "m") for a in atoms]
+    covers += [("m", c) for c in coatoms] + [(c, "1") for c in coatoms]
+    return Lattice.from_covers(["0", *atoms, "m", *coatoms, "1"], covers)
+
+
+def _member_mask_keyed(orientations):
+    """``_certify`` and ``_audit`` rebuilt from their steps with memo keys
+    on the member mask and the orientation, as they were before the
+    interior key; both add the orientation of every view they look up to
+    the set ``orientations``."""
+    def view(args):
+        orientations.add(args[0]._rev)
+        return args[0]._mask, args[0]._rev
+
+    return (_iterative(_certify.__wrapped__,
+                       key=lambda args: (*view(args), args[1])),
+            _iterative(_audit.__wrapped__,
+                       key=lambda args: (id(args[2]), *view(args), args[1])))
+
+
+def test_interior_key_matches_the_member_mask_key():
+    # the memos leave out the bounds and the orientation: certify and the
+    # audit give the certificates, traces and reports they give keyed on
+    # the member mask, on seeded mutants as on the certificates, and every
+    # view a run reaches has the root call's orientation
+    corpus = full_corpus(100)
+    lattices = [(name, lat, lat.interior(), Random(index))
+                for index, (name, lat) in enumerate(corpus)]
+    lattices += [(f"{name} dual", lat.dual(), lat.interior(), None)
+                 for name, lat in corpus]
+    # an ordinal sum's atoms are alike, and so are its coatoms
+    lattices += [(f"ordinal-sum-{k}", _ordinal_sum(k), ("a0", "m", "c0"), None)
+                 for k in (3, 10, 25)]
+    # one element per (down-set size, up-set size), which on boolean-5
+    # and partition-5 is one per orbit of their symmetries
+    for family in ("boolean", "partition"):
+        lat = generate(family, 5)
+        shapes = {(len(lat.below(x)), len(lat.above(x))): x for x in reversed(lat.interior())}
+        lattices.append((f"{family}-5", lat, sorted(shapes.values()), None))
+    failing = 0
+    for name, lat, elements, rng in lattices:
+        for x in elements:
+            orientations = set()
+            certify_ref, audit_ref = _member_mask_keyed(orientations)
+            cert, trace = certify(lat, x)
+            c = _certified(lat, x)
+            records = {}
+            ref = certify_ref((lat, x, lat._interior_mask() & ~c, records))
+            assert certificate_to_obj(cert) == certificate_to_obj(ref), (name, x)
+            assert trace.to_obj() == CertifyTrace(ref, records, lat).to_obj(), (name, x)
+            candidates = [cert]
+            if rng is not None:
+                # the audit takes certificates: leave out the foreign node
+                candidates += [m for m in _mutants(cert, certificate_complex(lat, x), rng)
+                               if not any(isinstance(n, Answer)
+                                          for n in _distinct_nodes(m))]
+            for candidate in candidates:
+                tally = _audit((lat, x, candidate, c))
+                assert tally == audit_ref((lat, x, candidate, c)), (name, x)
+                failing += bool(tally[3])
+            assert orientations <= {lat._rev}, (name, x)
+    assert failing > 4000
+
+
+@pytest.mark.parametrize("k", [25, 100])
+def test_ordinal_sum_shares_its_link_children(k):
+    # the link children [a, 1] of the k atoms have one interior, the
+    # coatoms, so they are one node: the certificate has 2k + 1 node
+    # objects and its strategy k^2 + k + 2, against 2k^2 + 4k + 1 tree nodes
+    lat = _ordinal_sum(k)
+    cert, trace = certify(lat, "m")
+    assert certificate_size(cert) == len(trace) == 2 * k * k + 4 * k + 1
+    assert len(_distinct_nodes(cert)) == 2 * k + 1
+    strategy = compile_strategy(cert, interior_members(lat, "m"))
+    assert len(_distinct_nodes(strategy)) == k * k + k + 2
