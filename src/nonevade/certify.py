@@ -532,26 +532,20 @@ def verify_certificate(complex_, certificate):
     verify against the deletion and link of its vertex.  Returns a
     VerifyResult carrying the path to the first failing node.
 
-    An order complex is walked on member masks of its root: every
-    deletion and link in it is the order complex of a member set, a
-    member view named by its mask, and each step is a mask operation.  Any
-    other complex is walked on its facets, the generic path and the
-    reference; both walks take the same steps and give the same result.
-
-    A node reached again with an equal complex is not checked again: the
-    memo key is the node with the member mask of an order complex, or with
-    the facets of any other.  All complexes of one call share the input's
-    vertex ground, and a failure ends the walk, so only ok results are
-    ever reused.
+    The walk takes the complex's own link and deletion steps: one mask
+    step each on an order complex, whose member mask fixes it, and a pass
+    over the facets on any other; both give the same result.  A node
+    reached again with an equal complex is not checked again: the memo
+    key is the node with the vertex mask and the facets (None on an order
+    complex).  All complexes of one call share the input's vertex ground,
+    and a failure ends the walk, so only ok results are ever reused.
     """
-    if complex_._order is not None:
-        complex_ = complex_._derive(complex_._vmask, None)
     return _verify((complex_, certificate, ()))
 
 
 def _verify_key(args):
     c, node, _ = args
-    return id(node), c._vmask if c._facets is None else c._facets
+    return id(node), c._vmask, c._facets
 
 
 @partial(_iterative, key=_verify_key)
@@ -731,6 +725,8 @@ def audit_certificate(lattice, element, certificate):
     all of the interior: its tally, failures included, is reused under
     the new path.
 
+    A node of another type fails as "unknown node", as in verify.
+
     Every complex here is the order complex of a set of members of one
     root, and the order complex of a poset is fixed by its member set,
     whatever the view's orientation.  So (a) compares vertex masks and
@@ -787,7 +783,9 @@ def _audit(args):
             return 0, 1, 0, [((), "complex changed across a prune")]
         splits, prunes, leaves, failures = yield child_L, x, node.child, c
         return splits, prunes + 1, leaves, _below("child", failures)
-    # Split: a coatom step is audited as an atom step of the dual
+    if not isinstance(node, Split):
+        return 0, 0, 0, [((), f"unknown node {type(node).__name__}")]
+    # a coatom step is audited as an atom step of the dual
     y = node.vertex
     case, side = node.mode.split("_")
     S = L.dual() if side == "coatom" else L

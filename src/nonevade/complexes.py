@@ -2,37 +2,29 @@
 
 A complex lives on a vertex ground: a label tuple, its label -> position
 dict and a rank per position that fixes the canonical vertex order.  Faces
-are ``int`` masks over the positions; a complex keeps only its vertex mask
-and the frozenset of its maximal faces (facets), and ``vertices`` and
-``facets`` are label views made on each read.  ``order_complex`` takes the
-root lattice's own positions, labels and ranks as the ground, so every
-complex derived from one root (the certified complex of any sublattice
-view, and every link and deletion of it) shares that ground.
+are ``int`` masks over the positions, and ``vertices`` and ``facets`` are
+label views made on each read.  ``order_complex`` takes the root
+lattice's own positions, labels and ranks as the ground, so every complex
+derived from one root (the certified complex of any sublattice view, and
+every link and deletion of it) shares that ground.
 
-A complex is its facets.  The constructor, ``link``, ``deletion`` and
-``order_complex`` each guarantee that every vertex lies in a facet, so
-the facets fix the vertex mask too: equality, hashing and every memo key
-read facets only, as masks on a shared ground and as label sets across
-grounds.
+Each kind of complex is stored once.  A facet-built complex is its facets:
+the constructor, ``link`` and ``deletion`` each guarantee that every
+vertex lies in a facet, so the facets fix the vertex mask too.  An order
+complex is the poset view it was built from and a member mask m, and its
+facets, the maximal chains, are listed on each read.  Its link and
+deletion are again order complexes on the same view: deleting v from
+Delta(Q) gives Delta(Q - v), and a chain through v is v plus a chain of
+the members comparable to v, so a deletion is ``m & ~b`` and a link
+``m & (up[v] | down[v]) & ~b``.  Equality, hashing and the brute memo
+read facets, as masks on a shared ground and as label sets across grounds.
 
-Link and deletion need no maximality pass.  Distinct facets f, g through
-a vertex v are incomparable, and so are f - v and g - v, since either
-inclusion would lift back to f and g.  So the link's facets are exactly
-the facets through v with v dropped.  In the deletion the facets avoiding
-v stay facets and no shrunk facet f - v contains one of them (it would lie
-in f); a shrunk facet is a facet unless it lies in a kept one, and that
-is the only test made.
-
-An order complex also keeps its root's order masks, handed to it at
-construction.  Every complex the certificate's recursion meets in it is
-again the order complex of a member set of the root: deleting v from
-Delta(Q) gives Delta(Q - v), and the link of v is Delta of the members of
-Q comparable to v, since a chain through v is v plus a chain of those.
-So ``verify_certificate`` walks an order complex on member views: a
-complex with no facet list, named by its member mask m, whose deletion of
-v is ``m & ~b`` and whose link is ``m & (up[v] | down[v]) & ~b``.  Member
-views exist only inside that walk; ``link`` and ``deletion`` of an order
-complex are built from its facets like any other.
+A facet-built complex needs no maximality pass either.  Distinct facets
+f, g through v are incomparable, and so are f - v and g - v, since either
+inclusion would lift back to f and g, so the link's facets are the facets
+through v with v dropped.  In the deletion the facets avoiding v stay
+facets and no shrunk facet f - v contains one of them (it would lie in
+f); a shrunk facet is a facet unless it lies in a kept one.
 
 The full face list is made on demand, a new set on each call, when Euler
 characteristics, collapse replays or the collapse search need it.  The
@@ -75,7 +67,7 @@ class Complex:
         if len(pos) != len(vertices):
             raise ValueError("duplicate vertex labels")
         vmask = (1 << len(vertices)) - 1
-        self._init(vertices, pos, range(len(vertices)), vmask, None)
+        self._init(vertices, pos, range(len(vertices)), vmask, None, None)
         masks = set()
         for f in map(frozenset, faces):
             mask = self._mask(f)
@@ -94,18 +86,39 @@ class Complex:
             raise ValueError(f"vertices {missing} appear in no facet")
         self._facets = frozenset(facets)
 
-    def _init(self, label, pos, rank, vmask, facets, order=None):
-        # order: the root's (up, down) masks of an order complex, else None
+    def _init(self, label, pos, rank, vmask, facets, order):
+        # exactly one of facets (the facet masks) and order is set; order is
+        # the poset view an order complex was built from, and the complex is
+        # the subposet of its root on the members vmask
         self._label, self._pos, self._rank = label, pos, rank
         self._vmask, self._facets, self._order = vmask, facets, order
 
     def _derive(self, vmask, facets):
         """A complex on the same ground: built from ``facets``, or with
-        facets None the member view of ``vmask`` in an order complex."""
+        facets None the order complex of the members ``vmask`` of this
+        order complex's root."""
         c = Complex.__new__(Complex)
         c._init(self._label, self._pos, self._rank, vmask, facets,
                 None if facets is not None else self._order)
         return c
+
+    def _facet_masks(self):
+        """The facets as masks: a facet-built complex's own, or the maximal
+        chains of an order complex, listed on each read by walking cover
+        steps from its minimal members on an explicit stack."""
+        poset = self._order
+        if poset is None:
+            return self._facets
+        vmask, down = self._vmask, poset._down
+        covers = {p: poset._upper_covers(p, vmask) for p in _bits(vmask)}
+        stack = [(p, 1 << p) for p in covers if down[p] & vmask == 1 << p]
+        facets = []
+        while stack:
+            p, chain = stack.pop()
+            if not covers[p]:
+                facets.append(chain)
+            stack += [(q, chain | 1 << q) for q in _bits(covers[p])]
+        return frozenset(facets)
 
     # the labels in a mask, in canonical order: a ground reads like a poset's
     _labels = Poset._labels
@@ -129,13 +142,13 @@ class Complex:
     @property
     def facets(self):
         label = self._label.__getitem__
-        return frozenset(frozenset(map(label, _bits(f))) for f in self._facets)
+        return frozenset(frozenset(map(label, _bits(f))) for f in self._facet_masks())
 
     def __eq__(self, other):
         if not isinstance(other, Complex):
             return False
         if self._label is other._label:
-            return self._facets == other._facets
+            return self._facet_masks() == other._facet_masks()
         return self.facets == other.facets
 
     def __hash__(self):
@@ -144,33 +157,16 @@ class Complex:
     def __repr__(self):
         return (
             f"Complex({self._vmask.bit_count()} vertices, "
-            f"{len(self._facets)} facets)"
+            f"{len(self._facet_masks())} facets)"
         )
 
-    def _face_mask_set(self, cap=inf):
-        """Every nonempty face as a mask, in a new set on each call.  Over
-        ``cap`` faces raise CapExceeded, facet by facet and a facet too big
-        alone before listing it, so at most 2·cap are listed."""
-        faces = set()
-        for f in self._facets:
-            if (1 << f.bit_count()) - 1 > cap:
-                break
-            s = f
-            while s:
-                faces.add(s)
-                s = (s - 1) & f
-            if len(faces) > cap:
-                break
-        else:
-            return faces
-        raise CapExceeded(f"the complex has more than the cap of {cap} faces")
-
     def face_count(self):
-        return len(self._face_mask_set())
+        return len(_face_masks(self._facet_masks()))
 
     def reduced_euler(self):
         """Alternating face-count sum, shifted so a point scores 0."""
-        return sum(1 if s.bit_count() & 1 else -1 for s in self._face_mask_set()) - 1
+        faces = _face_masks(self._facet_masks())
+        return sum(1 if s.bit_count() & 1 else -1 for s in faces) - 1
 
     # -- vertex operations ------------------------------------------------------
 
@@ -190,11 +186,10 @@ class Complex:
 
     def _link(self, b):
         """The link of the vertex at bit ``b``."""
-        p = b.bit_length() - 1
-        if self._facets is None:
+        p, order = b.bit_length() - 1, self._order
+        if order is not None:
             # a chain through v is v plus a chain of members comparable to v
-            up, down = self._order
-            vmask, facets = self._vmask & (up[p] | down[p]) & ~b, None
+            vmask, facets = self._vmask & (order._up[p] | order._down[p]) & ~b, None
         else:
             # facets through v stay incomparable without v: no maximality pass
             facets = frozenset([f ^ b for f in self._facets if f & b])
@@ -209,7 +204,7 @@ class Complex:
         """The deletion of the vertex at bit ``b``."""
         if self._vmask == b:
             raise LastVertex("cannot delete the only vertex")
-        if self._facets is None:
+        if self._order is not None:
             return self._derive(self._vmask ^ b, None)
         kept, star = [], []
         for f in self._facets:
@@ -227,7 +222,7 @@ class Complex:
     def to_obj(self):
         rank = self._rank.__getitem__
         facets = sorted(
-            [sorted(_bits(f), key=rank) for f in self._facets],
+            [sorted(_bits(f), key=rank) for f in self._facet_masks()],
             key=lambda ps: list(map(rank, ps)),
         )
         label = self._label.__getitem__
@@ -312,32 +307,35 @@ def order_complex(poset):
     """The complex whose faces are the chains of a poset view, a lattice
     included, on the ground of its root.
 
-    Facets are the maximal chains, enumerated on an explicit stack by
-    walking cover steps of the induced order from its minimal members.
-    The complex keeps the root's order masks, so ``verify_certificate``
-    walks it on member masks.
+    The complex keeps the view and lists nothing: its facets, the maximal
+    chains, are listed only when they are read.
     """
     if not isinstance(poset, Poset):
         raise TypeError("order_complex expects a Poset")
-    vmask, down = poset._mask, poset._down
-    if not vmask:
+    if not poset._mask:
         raise EmptyInterior("the interior set is empty")
-    covers, stack = {}, []
-    for p in _bits(vmask):
-        covers[p] = poset._upper_covers(p, vmask)
-        if down[p] & vmask == 1 << p:
-            stack.append((p, 1 << p))
-    facets = []
-    while stack:
-        p, chain = stack.pop()
-        if not covers[p]:
-            facets.append(chain)
-        for q in _bits(covers[p]):
-            stack.append((q, chain | 1 << q))
     c = Complex.__new__(Complex)
-    c._init(poset._label, poset._pos, poset._rank, vmask, frozenset(facets),
-            (poset._up, down))
+    c._init(poset._label, poset._pos, poset._rank, poset._mask, None, poset)
     return c
+
+
+def _face_masks(facets, cap=inf):
+    """Every nonempty face under the facet masks ``facets``, in a new set.
+    Over ``cap`` faces raise CapExceeded, facet by facet and a facet too big
+    alone before listing it, so at most 2·cap are listed."""
+    faces = set()
+    for f in facets:
+        if (1 << f.bit_count()) - 1 > cap:
+            break
+        s = f
+        while s:
+            faces.add(s)
+            s = (s - 1) & f
+        if len(faces) > cap:
+            break
+    else:
+        return faces
+    raise CapExceeded(f"the complex has more than the cap of {cap} faces")
 
 
 def replay_collapses(complex_, sequence):
@@ -351,9 +349,10 @@ def replay_collapses(complex_, sequence):
     the cofaces are sought only among the vertices of ``star[q]``, the
     union of the facets through q, for every q in the face.
     """
-    faces = complex_._face_mask_set()
+    facets = complex_._facet_masks()  # listed once, for faces and stars
+    faces = _face_masks(facets)
     mask, star = complex_._mask, [0] * len(complex_._label)
-    for f in complex_._facets:
+    for f in facets:
         for q in _bits(f):
             star[q] |= f
     for index, pair in enumerate(sequence.pairs):

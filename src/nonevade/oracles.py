@@ -16,7 +16,7 @@ from functools import partial
 
 from .certify import Leaf, Split, _iterative
 from .errors import CapExceeded
-from .complexes import CollapsePair, CollapseSequence, order_complex
+from .complexes import CollapsePair, CollapseSequence, _face_masks, order_complex
 from .lattice import _bits
 
 NONEVASIVE_CAP = 12
@@ -37,14 +37,16 @@ def brute_certificate(complex_, cap=NONEVASIVE_CAP, memo=None):
     witness tree (or None).  The Split nodes carry a synthetic
     mode/link-element, since no lattice is involved; verification ignores
     both.  ``memo`` is keyed on ``Complex.facets``, the label sets, so it
-    can be shared across complexes on different vertex grounds.
+    can be shared across complexes on different vertex grounds.  It
+    walks a facet-built copy, never the mask walk of an order complex.
     """
     n = complex_._vmask.bit_count()
     if n > cap:
         raise CapExceeded(f"{n} vertices exceeds the cap of {cap}")
     if memo is None:
         memo = {}
-    return _brute_cert((complex_, memo))
+    facet_built = complex_._derive(complex_._vmask, complex_._facet_masks())
+    return _brute_cert((facet_built, memo))
 
 
 # every link and deletion shares the ground of the complex searched, so
@@ -93,7 +95,7 @@ def brute_collapsible(complex_, face_cap=COLLAPSE_FACE_CAP):
     # the int of the faces left
     faces = sorted(
         (f.bit_count(), sorted(map(label.__getitem__, _bits(f))), f)
-        for f in complex_._face_mask_set(face_cap)
+        for f in _face_masks(complex_._facet_masks(), face_cap)
     )
     names = [n for _, n, _ in faces]
     order = [f for _, _, f in faces]

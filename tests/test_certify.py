@@ -38,6 +38,7 @@ from nonevade.complexes import Complex, order_complex, replay_collapses
 from nonevade.corpus import M3_TEXT, N5_TEXT, full_corpus, named_corpus, random_corpus
 from nonevade.errors import (
     ElementOnBoundary,
+    NonevadeError,
     ParseError,
     UnknownElement,
     VerificationFailed,
@@ -907,6 +908,78 @@ def test_mask_walk_matches_the_facet_walk():
                      "deletion failed", "link failed", "unknown node"}, kinds
 
 
+def test_certificate_complex_and_verify_list_no_chain(monkeypatch):
+    # an order complex is its poset view: building the certified complex
+    # and verifying a certificate on it read no facets
+    def listing(self):
+        raise AssertionError("facets listed")
+
+    monkeypatch.setattr(Complex, "_facet_masks", listing)
+    lat = generate("boolean", 6)
+    cert, _ = certify(lat, "abc")
+    assert verify_certificate(certificate_complex(lat, "abc"), cert).ok
+
+
+def test_audit_reports_a_foreign_node_where_verify_does():
+    # a certificate holding a node that is not a Leaf, Prune or Split (a
+    # strategy's Answer) fails the audit at the path where verify reports
+    # the unknown node, and the node tallies nothing
+    foreign = 0
+    for index, (name, lat) in enumerate(full_corpus(100)):
+        rng = Random(index)
+        for x in lat.interior():
+            cert, _ = certify(lat, x)
+            c = certificate_complex(lat, x)
+            for candidate in _mutants(cert, c, rng):
+                result = verify_certificate(c, candidate)
+                if not result.reason.startswith("unknown node"):
+                    continue
+                foreign += 1
+                report = audit_certificate(lat, x, candidate)
+                where = "/".join(result.path) or "root"
+                assert f"{where}: {result.reason}" in report.failures, (name, x)
+                if not result.path:
+                    assert (report.splits, report.prunes, report.leaves) == (0, 0, 0)
+    assert foreign == 1042
+
+
+# --- soft prunes refused as non-lattices ---------------------------------------------
+
+
+def test_soft_prunes_that_leave_no_lattice_are_refused(monkeypatch):
+    # a prune that is not theory-guaranteed is tried softly: a candidate
+    # whose removal leaves no lattice is refused and the recursion goes on
+    # to the next stage.  These random completions (12, 15 and 19
+    # elements) reach that refusal; the certificates verify and audit,
+    # and their certificate and trace JSON are pinned
+    refusals = []
+    restrict = Lattice._restrict
+
+    def counting(self, mask):
+        try:
+            return restrict(self, mask)
+        except NonevadeError:
+            refusals[-1] += 1
+            raise
+
+    monkeypatch.setattr(Lattice, "_restrict", counting)
+    digest = hashlib.sha256()
+    for (n, seed), x, refused in [((9, 40), "(p1)", 1), ((11, 1440), "(p5)", 1),
+                                  ((11, 811), "(p6)", 2)]:
+        lat = generate("random", n, p=0.3, seed=seed)
+        refusals.append(0)
+        cert, trace = certify(lat, x)
+        assert refusals[-1] == refused, (n, seed)
+        assert verify_certificate(certificate_complex(lat, x), cert).ok
+        assert audit_certificate(lat, x, cert).ok
+        for obj in (certificate_to_obj(cert), trace.to_obj()):
+            text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+            digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "f5104589a587f3ca8f2ce8e7ea2a3d3b5ccb00ebe6078c5ce5faaebb05d4d80d"
+    )
+
+
 # --- the interior key against the member-mask key ------------------------------------
 
 
@@ -966,10 +1039,7 @@ def test_interior_key_matches_the_member_mask_key():
             assert trace.to_obj() == CertifyTrace(ref, records, lat).to_obj(), (name, x)
             candidates = [cert]
             if rng is not None:
-                # the audit takes certificates: leave out the foreign node
-                candidates += [m for m in _mutants(cert, certificate_complex(lat, x), rng)
-                               if not any(isinstance(n, Answer)
-                                          for n in _distinct_nodes(m))]
+                candidates += _mutants(cert, certificate_complex(lat, x), rng)
             for candidate in candidates:
                 tally = _audit((lat, x, candidate, c))
                 assert tally == audit_ref((lat, x, candidate, c)), (name, x)

@@ -323,6 +323,21 @@ def test_oracle_cap_flags(capsys, d12_file):
     assert code == 1 and "CapExceeded" in err
 
 
+@pytest.mark.parametrize("env, flags", [
+    ("game", []),
+    ("foo=1", []),
+    ("", ["--cap-game", "0"]),
+])
+def test_bad_caps_are_usage_errors(capsys, d12_file, monkeypatch, env, flags):
+    # an NONEVADE_CAPS entry without "=" or with an unknown key, and a cap
+    # that is not positive, are refused before any work
+    monkeypatch.setenv("NONEVADE_CAPS", env)
+    code, out, err = run(capsys, "game", d12_file, "-x", "2", "--exhaustive",
+                         *flags, "--json")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "ParseError"
+
+
 def test_oracle_on_a_lattice_needs_an_element(capsys, d12_file):
     code, out, err = run(capsys, "oracle", d12_file, "--check", "nonevasive")
     assert code == 2 and out == ""
@@ -497,6 +512,7 @@ PINNED_CALLS = [
     ("game {d12} -x 2 --hidden 5", True),
     ("mobius {d12}", True),
     ("oracle {d12} -x 2 --check nonevasive", True),
+    ("oracle {d12} -x 2 --check collapsible", True),
     ("oracle {d12} -x 2 --check collapsible --cap-faces 1", True),
     ("oracle {hollow} --complex --check collapsible", True),
     ("oracle {d12} --check nonevasive", True),
@@ -581,6 +597,10 @@ CLI_DIGESTS = {
         "47ad4bffe61113bc80dfc4b8a53991565c1a6dbcfd5e2bf543e0a008c09b759f",
     "oracle {d12} -x 2 --check nonevasive --json":
         "b66bf2bbfe6f8b8c63311de65c5d4dc3b740385ad7046686844c0bdfb35b0177",
+    "oracle {d12} -x 2 --check collapsible":
+        "011b1444907dfba6913c682dd957b7d992c620855f9bb448f9025f087a236d4b",
+    "oracle {d12} -x 2 --check collapsible --json":
+        "de716cbaa48cda18c147d5b0a800ec35d4da0bbe7daf81095f81abb65932e3fa",
     "oracle {d12} -x 2 --check collapsible --cap-faces 1":
         "7c2bba68820f90ebae3b3edc796f964021645994bda9d155d261f78a47688ed5",
     "oracle {d12} -x 2 --check collapsible --cap-faces 1 --json":

@@ -15,6 +15,7 @@ from nonevade.complexes import (
     CollapsePair,
     CollapseSequence,
     Complex,
+    _face_masks,
     order_complex,
     replay_collapses,
 )
@@ -28,7 +29,7 @@ from nonevade.errors import (
     UnknownVertex,
 )
 from nonevade.lattice import _bits, generate, parse_lattice
-from nonevade.corpus import M3_TEXT, random_complexes, random_corpus
+from nonevade.corpus import M3_TEXT, full_corpus, random_complexes, random_corpus
 
 
 def path_complex():
@@ -42,7 +43,7 @@ def hollow_triangle():
 
 def _faces(c):
     """Every nonempty face of c as a label set, read off its face masks."""
-    return {frozenset(c._labels(m)) for m in c._face_mask_set()}
+    return {frozenset(c._labels(m)) for m in _face_masks(c._facet_masks())}
 
 
 # --- construction ----------------------------------------------------------------
@@ -282,7 +283,7 @@ def test_replay_mismatch_when_final_wrong():
 def reference_replay(complex_, sequence):
     """The replay before it sought cofaces inside the star of the face:
     every vertex outside the free face is tried."""
-    faces = complex_._face_mask_set()
+    faces = _face_masks(complex_._facet_masks())
     mask, vmask = complex_._mask, complex_._vmask
     for index, pair in enumerate(sequence.pairs):
         free = mask(pair.free_face)
@@ -558,3 +559,65 @@ def test_link_and_deletion_are_order_complexes_of_masks(seed, steps, pick):
             else:
                 with pytest.raises(EmptyLink):
                     c.link(y)
+
+
+def _strict_up_sets(lattice):
+    """The strict up-set of each element, from the cover pairs alone."""
+    succ = {u: [] for u in lattice.elements}
+    for u, v in lattice.covers():
+        succ[u].append(v)
+    above = {}
+    for u in succ:
+        seen, stack = set(), list(succ[u])
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack += succ[v]
+        above[u] = seen
+    return above
+
+
+def _maximal_chains(above, members):
+    """The maximal chains among ``members`` as label sets: a chain starts
+    at a minimal member and steps to each member above its top with no
+    member in between."""
+    up = {u: above[u] & members for u in members}
+    stack = [(u, frozenset({u})) for u in members
+             if not any(u in up[w] for w in members)]
+    chains = set()
+    while stack:
+        u, chain = stack.pop()
+        steps = [v for v in up[u] if not any(v in up[w] for w in up[u])]
+        if not steps:
+            chains.add(chain)
+        stack += [(v, chain | {v}) for v in steps]
+    return chains
+
+
+def test_order_complexes_list_their_maximal_chains_when_read():
+    # an order complex stores its poset view and no facets: for every
+    # certified complex of the corpus and each of its one-vertex links and
+    # deletions, the facets read are the maximal chains, and the complex
+    # writes, compares and hashes as its facet-built copy
+    for name, lat in full_corpus(100):
+        above = _strict_up_sets(lat)
+        for x in lat.interior():
+            members = set(interior_members(lat, x))
+            c = certificate_complex(lat, x)
+            cases = [(c, members)]
+            for v in sorted(members):
+                rest = members - {v}
+                near = {u for u in rest if u in above[v] or v in above[u]}
+                if rest:
+                    cases.append((c.deletion(v), rest))
+                if near:
+                    cases.append((c.link(v), near))
+            for k, vertices in cases:
+                assert k._facets is None and k._order is not None
+                facets = k.facets
+                assert facets == _maximal_chains(above, vertices), (name, x)
+                copy = Complex(k.vertices, facets)
+                assert copy._facets is not None and copy._order is None
+                assert k.to_obj() == copy.to_obj(), (name, x)
+                assert k == copy and copy == k and hash(k) == hash(copy)
