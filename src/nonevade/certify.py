@@ -43,7 +43,7 @@ class _Node:
     field whose document key is not its name.  ``_wire`` lists (key, field,
     kind) in constructor order, which is document order, with the kind of
     each annotation in ``_KINDS``: None for a child.  ``_own`` (an
-    attrgetter), ``_kids``, ``_to_obj`` and ``_parser`` all read it.
+    attrgetter), ``_kids`` and the codecs of ``_codec`` all read it.
 
     ``==`` and ``hash`` walk on an explicit stack and look at each distinct
     node (for ``==``, each pair of nodes) once, so a deep tree needs no
@@ -149,6 +149,9 @@ class Split(_Node, wire="split", link_element="z"):
             raise ValueError(f"bad split mode {self.mode!r}")
 
 
+_CERTIFICATE_NODES = (Leaf, Prune, Split)
+
+
 class CertifyTrace:
     """The decisions a certification run took, stored once per distinct node
     of the certificate DAG.  ``entries`` and ``to_obj`` write them out as the
@@ -156,14 +159,14 @@ class CertifyTrace:
     ``summary`` count the tree's decisions and depth on the DAG without
     writing it out.
 
-    A split's rejected candidates are stored as masks, one (order, witness,
-    accepted) triple per scan over the atoms of the lattice or its dual,
-    and become ``[label, reason]`` pairs only in ``entries``, labelled by
-    the certified lattice, whose root every sublattice of the run shares.
-    A scan looks at its atoms in canonical order and stops at the one it
-    accepts, so an entry lists the scan's rejections in canonical order up
-    to that atom; the order mask holds every atom that fails the order
-    test, the later ones included, since it is one whole-mask test."""
+    A split keeps one (order, candidates, accepted) triple per scan over the
+    atoms of the lattice or its dual: the mask of atoms failing the order
+    test (all of them: it is one whole-mask test), the mask of the others,
+    which the screen tries in canonical order, and the position it accepted
+    or None, so it rejected the candidates ranked before that one, or all.
+    ``entries`` lists each scan's atoms up to the accepted one as ``[label,
+    reason]`` pairs, labelled by the certified lattice, whose root every
+    sublattice of the run shares."""
 
     def __init__(self, root, records, lattice):
         self._root, self._records, self._lattice = root, records, lattice
@@ -329,18 +332,15 @@ def _split_sound(S, px, y, co):
 
 def _first_sound(S, px, candidates, co):
     """The canonically first atom of S among the positions ``candidates``
-    whose split passes the screen, as (position, children, mask of the
-    candidates before it that failed the screen); the position and the
-    children are None when none passes."""
-    witness = 0
+    whose split passes the screen, as (position, children); both are None
+    when none passes."""
     while candidates:
         y = S._first(candidates)
         children = _split_sound(S, px, y, co)
         if children is not None:
-            return y, children, witness
-        witness |= 1 << y
+            return y, children
         candidates ^= 1 << y
-    return None, None, witness
+    return None, None
 
 
 def _rejections(L, scans):
@@ -348,9 +348,9 @@ def _rejections(L, scans):
     atoms that failed the order test or the screen, in canonical order up
     to the atom the scan accepted, if it accepted one, labelled by L."""
     out, rank = [], L._rank
-    for order, witness, accepted in scans:
-        for p in L._sorted(order | witness):
-            if accepted is not None and rank[p] > rank[accepted]:
+    for order, candidates, accepted in scans:
+        for p in L._sorted(order | candidates):
+            if accepted is not None and rank[p] >= rank[accepted]:
                 break
             out.append([L._label[p], "order" if order >> p & 1 else "witness"])
     return out
@@ -390,12 +390,9 @@ def _certify(args):
                        interior_size=1, vertex=x)
 
     # a coatom step on L is an atom step on its dual, so every scan runs
-    # over both sides; remember whether the plain order-theoretic case-1
-    # conditions ever matched, since the prune step is only guaranteed when
-    # they never do
+    # over both sides
     sides = ((L, "atom"), (L.dual(), "coatom"))
-    had_case1_candidate = False
-    scans = []  # (order, witness, accepted) per scan, for the trace
+    scans = []  # (order, candidates, accepted) per scan, for the trace
     for S, side in sides:
         up, top = S._up, 1 << S._bounds[1]
         above_x = up[px] & S._mask
@@ -403,21 +400,21 @@ def _certify(args):
         for y in _bits(S._atom_mask & ~order):
             if up[y] & above_x == top:
                 order |= 1 << y
-        had_case1_candidate |= order != S._atom_mask
-        y, children, witness = _first_sound(S, px, S._atom_mask & ~order, co)
-        scans.append((order, witness, y))
+        candidates = S._atom_mask & ~order
+        y, children = _first_sound(S, px, candidates, co)
+        scans.append((order, candidates, y))
         if y is not None:
             return (yield from _emit_split(args, S, side, y, children, "case1", scans))
 
-    # prune: complements sitting among atoms/coatoms drag their whole
-    # comparability components out of the lattice
+    # prune: complements among atoms/coatoms drag their whole comparability
+    # components out; it is guaranteed only if no case-1 scan had a candidate
     seeds = (L._atom_mask | L._coatom_mask) & co
     if seeds:
         removed = 0
         for comp in L._components():
             if comp & seeds:
                 removed |= comp
-        node = yield from _try_prune(args, removed, hard=not had_case1_candidate)
+        node = yield from _try_prune(args, removed, not any(c for _, c, _ in scans))
         if node is not None:
             return node
 
@@ -431,8 +428,8 @@ def _certify(args):
     # complements anywhere this is the classic endgame and always succeeds
     for S, side in sides:
         below_x = S._atom_mask & S._down[px] & ~(1 << px)
-        y, children, witness = _first_sound(S, px, below_x, co)
-        scans.append((0, witness, y))
+        y, children = _first_sound(S, px, below_x, co)
+        scans.append((0, below_x, y))
         if y is not None:
             return (yield from _emit_split(args, S, side, y, children, "case2", scans))
 
@@ -633,11 +630,12 @@ def certificate_ground(certificate):
     while not isinstance(node, Leaf):
         if isinstance(node, Prune):
             node = node.child
-        else:
+        elif isinstance(node, Split):
             ground.add(node.vertex)
             node = node.dl
-    ground.add(node.vertex)
-    return frozenset(ground)
+        else:
+            _refuse("certificate", _CERTIFICATE_NODES, node)
+    return frozenset(ground | {node.vertex})
 
 
 def certificate_size(certificate):
@@ -645,29 +643,34 @@ def certificate_size(certificate):
     return _fold(certificate, lambda node, *kids: 1 + sum(kids))
 
 
-def certificate_to_obj(certificate):
-    """The certificate as JSON-ready dicts, built once per distinct node: a
-    node shared in the DAG is one shared sub-object of the result."""
-    return _fold(certificate, _to_obj)
+def _refuse(what, types, node):
+    """Raise TypeError on ``node``, which is none of ``types``, a ``what``'s."""
+    names = ", ".join(t.__name__ for t in types)
+    raise TypeError(f"{what} nodes are {names}; got {type(node).__name__}")
 
 
-def _to_obj(node, *kids):
-    """The wire form of one node, given its children's; a ``_fold`` visit."""
-    obj, kids = {"type": node._type}, iter(kids)
-    for key, name, kind in node._wire:
-        value = next(kids) if kind is None else getattr(node, name)
-        obj[key] = list(value) if kind is list else value
-    return obj
-
-
-def _parser(what, *types):
-    """The parser of the documents whose nodes are ``types``: it refuses a
-    node of an unknown type, a missing field and a field of the wrong kind
-    with ParseError.  It runs on ``_iterative`` because its input is a tree."""
+def _codec(what, *types):
+    """The writer and the reader of the documents whose nodes are ``types``.
+    The writer builds JSON-ready dicts once per distinct node (a shared node
+    is one shared sub-object) and refuses other node types with TypeError.
+    The reader refuses an unknown type, a missing field or a field of the
+    wrong kind with ParseError, on ``_iterative`` as its input is a tree."""
     by_type = {t._type: t for t in types}
 
+    def write_node(node, *kids):
+        if type(node) not in types:
+            _refuse(what, types, node)
+        obj, kids = {"type": node._type}, iter(kids)
+        for key, name, kind in node._wire:
+            value = next(kids) if kind is None else getattr(node, name)
+            obj[key] = list(value) if kind is list else value
+        return obj
+
+    def write(root):
+        return _fold(root, write_node)
+
     @_iterative
-    def parse(obj):
+    def read(obj):
         try:
             t, args = by_type[obj["type"]], []
         except (KeyError, TypeError):
@@ -688,10 +691,10 @@ def _parser(what, *types):
             return t(*args)
         except ValueError as exc:
             raise ParseError(f"bad {what} node: {exc}") from None
-    return parse
+    return write, read
 
 
-certificate_from_obj = _parser("certificate", Leaf, Prune, Split)
+certificate_to_obj, certificate_from_obj = _codec("certificate", *_CERTIFICATE_NODES)
 
 
 # --- lattice-level audit ------------------------------------------------------------

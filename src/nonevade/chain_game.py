@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certify import Leaf, Prune, _fold, _Node, _parser, _to_obj
+from .certify import _CERTIFICATE_NODES, Leaf, Prune, _codec, _fold, _Node, _refuse
 from .errors import CapExceeded, GroundMismatch
 from .lattice import _bits
 
@@ -32,6 +32,7 @@ class Query(_Node, wire="query"):
     no: object
 
 
+_STRATEGY_NODES = (Answer, Query)
 _YES, _NO = Answer(True), Answer(False)
 
 
@@ -90,6 +91,8 @@ def compile_strategy(certificate, ground):
         # (strategy, vertex mask) of the subtree under node
         if isinstance(node, Prune):
             return kids[0]
+        if not isinstance(node, _CERTIFICATE_NODES):
+            _refuse("certificate", _CERTIFICATE_NODES, node)
         y = node.vertex
         if y not in bit:
             raise GroundMismatch(f"certificate vertex {y!r} is off the ground")
@@ -128,6 +131,8 @@ def play(strategy, hidden):
         answer = node.vertex in hidden
         queries.append((node.vertex, answer))
         node = node.yes if answer else node.no
+    if not isinstance(node, Answer):
+        _refuse("strategy", _STRATEGY_NODES, node)
     return node.is_chain, Transcript(tuple(queries), node.is_chain)
 
 
@@ -211,6 +216,8 @@ def exhaustive_check(strategy, ground, leq, cap=GAME_CAP):
             seen |= 1 << i
             stack.append((node.no, yes, seen, count, common))
             node, yes, common = node.yes, yes | 1 << i, common & comparable[i]
+        if type(node) is not Answer:
+            _refuse("strategy", _STRATEGY_NODES, node)
         free = full ^ seen
         size = 1 << free.bit_count()
         histogram[count] = histogram.get(count, 0) + size
@@ -231,13 +238,7 @@ def check_game_cap(size, cap):
         raise CapExceeded(f"ground of {size} exceeds the cap of {cap}")
 
 
-def strategy_to_obj(strategy):
-    """The strategy as JSON-ready dicts, built once per distinct node: a
-    node shared in the DAG is one shared sub-object of the result."""
-    return _fold(strategy, _to_obj)
-
-
-strategy_from_obj = _parser("strategy", Answer, Query)
+strategy_to_obj, strategy_from_obj = _codec("strategy", *_STRATEGY_NODES)
 
 
 def strategy_depth(strategy):

@@ -120,8 +120,8 @@ class Complex:
             stack += [(q, chain | 1 << q) for q in _bits(covers[p])]
         return frozenset(facets)
 
-    # the labels in a mask, in canonical order: a ground reads like a poset's
-    _labels = Poset._labels
+    # a mask's positions and labels in canonical order, as on a poset
+    _sorted, _labels = Poset._sorted, Poset._labels
 
     def _mask(self, labels):
         """The face mask of ``labels``, or None if one is not a vertex."""
@@ -171,10 +171,10 @@ class Complex:
     # -- vertex operations ------------------------------------------------------
 
     def _bit(self, v):
-        p = self._pos.get(v)
-        if p is None or not self._vmask >> p & 1:
+        b = self._mask((v,))
+        if b is None:
             raise UnknownVertex(f"unknown vertex {v!r}")
-        return 1 << p
+        return b
 
     def link(self, v):
         """Faces whose union with v is a face, on the neighbours of v."""
@@ -221,10 +221,8 @@ class Complex:
 
     def to_obj(self):
         rank = self._rank.__getitem__
-        facets = sorted(
-            [sorted(_bits(f), key=rank) for f in self._facet_masks()],
-            key=lambda ps: list(map(rank, ps)),
-        )
+        facets = sorted(map(self._sorted, self._facet_masks()),
+                        key=lambda ps: list(map(rank, ps)))
         label = self._label.__getitem__
         return {
             "vertices": list(self.vertices),

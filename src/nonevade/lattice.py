@@ -188,8 +188,7 @@ class Poset:
 
     def _labels(self, mask):
         """The labels in ``mask``, in canonical order."""
-        return tuple(map(self._label.__getitem__,
-                         sorted(_bits(mask), key=self._rank.__getitem__)))
+        return tuple(map(self._label.__getitem__, self._sorted(mask)))
 
     def _first(self, mask):
         """The canonically first position in a nonzero ``mask``: its lowest
@@ -403,9 +402,8 @@ class Lattice(Poset):
         self._adopt(poset, poset._mask)._walk(*_lattice_bounds(self))
 
     def _restrict(self, mask):
-        """The induced sublattice on ``mask``, checked as ``Lattice()`` is."""
-        lat = self._sub(mask)
-        return lat._walk(*_lattice_bounds(lat))
+        """The induced sublattice on ``mask``, checked by the constructor."""
+        return Lattice(self._view(mask))
 
     def _sub(self, mask):
         """A lattice on ``mask`` of this root and orientation, bounds unset."""

@@ -63,7 +63,7 @@ def _brute_cert(args):
     if key in memo:
         return memo[key]
     found = None
-    for p in sorted(_bits(c._vmask), key=c._rank.__getitem__):
+    for p in c._sorted(c._vmask):
         b = 1 << p
         if b in c._facets:
             continue  # isolated: its link is empty

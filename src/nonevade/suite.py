@@ -94,7 +94,6 @@ class CorpusRun:
         self.corpus = full_corpus(random_count)
         self.instances = []
         self.certify_failures = []
-        self.certify_seconds = 0.0
         t0 = time.perf_counter()
         for name, lattice in self.corpus:
             for x in lattice.interior():

@@ -33,7 +33,14 @@ from nonevade.certify import (
     interior_members,
     verify_certificate,
 )
-from nonevade.chain_game import Answer, Query, compile_strategy, strategy_to_obj
+from nonevade.chain_game import (
+    Answer,
+    Query,
+    compile_strategy,
+    exhaustive_check,
+    play,
+    strategy_to_obj,
+)
 from nonevade.complexes import Complex, order_complex, replay_collapses
 from nonevade.corpus import M3_TEXT, N5_TEXT, full_corpus, named_corpus, random_corpus
 from nonevade.errors import (
@@ -923,7 +930,10 @@ def test_certificate_complex_and_verify_list_no_chain(monkeypatch):
 def test_audit_reports_a_foreign_node_where_verify_does():
     # a certificate holding a node that is not a Leaf, Prune or Split (a
     # strategy's Answer) fails the audit at the path where verify reports
-    # the unknown node, and the node tallies nothing
+    # the unknown node, and the node tallies nothing; the certificate writer
+    # and the strategy compiler refuse it, as every strategy walker refuses
+    # a certificate's Leaf
+    refusal = "^certificate nodes are Leaf, Prune, Split; got Answer$"
     foreign = 0
     for index, (name, lat) in enumerate(full_corpus(100)):
         rng = Random(index)
@@ -940,7 +950,18 @@ def test_audit_reports_a_foreign_node_where_verify_does():
                 assert f"{where}: {result.reason}" in report.failures, (name, x)
                 if not result.path:
                     assert (report.splits, report.prunes, report.leaves) == (0, 0, 0)
+                with pytest.raises(TypeError, match=refusal):
+                    certificate_to_obj(candidate)
+                with pytest.raises(TypeError, match=refusal):
+                    compile_strategy(candidate, c.vertices)
     assert foreign == 1042
+    with pytest.raises(TypeError, match=refusal):
+        certificate_ground(Split("a", "case1_atom", "b", Answer(True), Leaf("b")))
+    strategy = Query("a", Leaf("a"), Answer(False))
+    for walk in (strategy_to_obj, lambda s: play(s, {"a"}),
+                 lambda s: exhaustive_check(s, ("a",), str.__eq__)):
+        with pytest.raises(TypeError, match="^strategy nodes are Answer, Query; got Leaf$"):
+            walk(strategy)
 
 
 # --- soft prunes refused as non-lattices ---------------------------------------------

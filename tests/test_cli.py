@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -156,7 +157,7 @@ def test_certify_roundtrip(capsys, d12_file, tmp_path):
     cert_path = str(tmp_path / "cert.json")
     code, out, _ = run(capsys, "certify", d12_file, "-x", "2", "-o", cert_path)
     assert code == 0
-    doc = json.loads(open(cert_path).read())
+    doc = json.loads(Path(cert_path).read_text())
     assert doc["vertex"] == "3" and doc["z"] == "6"
     code, out, _ = run(capsys, "verify", d12_file, "-x", "2", "--cert", cert_path)
     assert code == 0 and "verifies" in out
@@ -224,7 +225,7 @@ def test_collapse(capsys, d12_file, tmp_path):
     seq_path = str(tmp_path / "seq.json")
     code, out, _ = run(capsys, "collapse", d12_file, "-x", "2", "-o", seq_path)
     assert code == 0 and "3 free pairs" in out
-    doc = json.loads(open(seq_path).read())
+    doc = json.loads(Path(seq_path).read_text())
     assert doc["final"] == "2" and len(doc["pairs"]) == 3
 
 
@@ -232,7 +233,7 @@ def test_strategy(capsys, d12_file, tmp_path):
     strat_path = str(tmp_path / "strat.json")
     code, out, _ = run(capsys, "strategy", d12_file, "-x", "2", "-o", strat_path)
     assert code == 0
-    doc = json.loads(open(strat_path).read())
+    doc = json.loads(Path(strat_path).read_text())
     assert doc["type"] == "query" and doc["vertex"] == "3"
 
 

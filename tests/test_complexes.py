@@ -375,6 +375,23 @@ def test_collapse_pair_validation():
         CollapsePair(frozenset({"a"}), frozenset({"a", "b", "c"}))
 
 
+@pytest.mark.parametrize("doc, exc, message", [
+    ({"vertices": []}, ParseError, 'complex document needs "vertices" and "facets"'),
+    ({"vertices": "ab", "facets": ["ab"]}, ParseError,
+     '"vertices" must be an array of strings'),
+    ({"vertices": ["a"], "facets": [5]}, ParseError,
+     '"facets" must be an array of arrays of strings'),
+    ({"vertices": [], "facets": []}, ParseError,
+     "bad complex document: a complex needs at least one vertex"),
+    ({"vertices": ["a"], "facets": [["b"]]}, UnknownVertex,
+     "face uses unknown vertices ['b']"),
+])
+def test_complex_from_obj_refusals_name_their_cause(doc, exc, message):
+    with pytest.raises(exc) as info:
+        Complex.from_obj(doc)
+    assert type(info.value) is exc and str(info.value) == message
+
+
 def test_collapse_sequence_round_trip():
     s = seq([({"3"}, {"3", "6"})], "6")
     assert CollapseSequence.from_obj(s.to_obj()) == s

@@ -18,6 +18,7 @@ from nonevade.errors import (
     UnknownElement,
     UnknownFamily,
 )
+from nonevade.cli import main
 from nonevade.complexes import order_complex
 from nonevade.corpus import BOWTIE_TEXT, M3_TEXT, N5_TEXT, named_corpus, random_corpus
 from nonevade.lattice import (
@@ -177,6 +178,62 @@ def test_from_covers_refuses_more_than_max_elements_before_any_work():
     labels = [f"e{i}" for i in range(MAX_ELEMENTS + 1)]
     with pytest.raises(ParamOutOfRange, match="^65537 elements exceeds the cap of 65536$"):
         Poset.from_covers(labels, [])
+
+
+#: Documents each refused by one check of ``parse_lattice``, with the
+#: exception and its message; the CLI exits 2 on a ParseError and 1 on the
+#: semantic failures.
+REFUSED_DOCUMENTS = [
+    ('{"covers": []}', ParseError,
+     'JSON lattice document needs an "elements" array'),
+    ('{"elements": ["a", 1]}', ParseError, '"elements" must be an array of strings'),
+    ('{"elements": ["a", ""]}', ParseError,
+     "bad element label '': must be a nonempty string"),
+    ("elements: a b\ncover: z a\n", ParseError, "cover references unknown element 'z'"),
+    ("elements: a b\ncover: a a\n", CycleDetected, "self-cover on 'a'"),
+    ('{"elements": []}', NoUniqueBottom, "empty poset has no bottom element"),
+    ("elements: a\nelements: b\n", ParseError, "line 2: duplicate elements line"),
+    ("elements:\n", ParseError, "line 1: elements line is empty"),
+    ("cover: a b\nelements: a b\n", ParseError, "line 1: cover before elements line"),
+    ("elements: a b c\ncover: a b c\n", ParseError,
+     "line 2: cover needs exactly two labels"),
+    ("# no elements\n", ParseError, "document has no elements line"),
+]
+
+
+@pytest.mark.parametrize("text, exc, message", REFUSED_DOCUMENTS)
+def test_parse_refusals_name_their_cause(capsys, tmp_path, text, exc, message):
+    with pytest.raises(exc) as info:
+        parse_lattice(text)
+    assert type(info.value) is exc and str(info.value) == message
+    path = tmp_path / "refused.lat"
+    path.write_text(text)
+    assert main(["validate", str(path), "--json"]) == (2 if exc is ParseError else 1)
+    assert json.loads(capsys.readouterr().err) == {
+        "error": {"type": exc.__name__, "message": message}}
+
+
+@pytest.mark.parametrize("args, kwargs, exc, message", [
+    (("chain", 70_000), {}, ParamOutOfRange, "chain of 70000 exceeds the cap of 65536"),
+    (("product",), {"left": "chain:300", "right": "chain:300"}, ParamOutOfRange,
+     "product has 90000 elements, cap is 65536"),
+    (("boolean", -1), {}, ParamOutOfRange, "boolean rank must be nonnegative"),
+    (("divisor", 0), {}, ParamOutOfRange, "divisor lattice needs n >= 1"),
+    (("partition", 0), {}, ParamOutOfRange, "partition lattice needs n >= 1"),
+    (("random", 25), {}, ParamOutOfRange, "random base poset size must be in 0..24"),
+    (("random", 5), {"p": 1.5}, ParamOutOfRange, "edge probability must be in [0, 1]"),
+    (("product",), {}, ParamOutOfRange, "product needs left and right factors"),
+    (("product",), {"left": "chain3", "right": "chain:2"}, ParamOutOfRange,
+     "bad product factor 'chain3': expected e.g. 'chain:3'"),
+    (("product",), {"left": "chain:x", "right": "chain:2"}, ParamOutOfRange,
+     "bad product factor size in 'chain:x'"),
+    (("product",), {"left": "foo:3", "right": "chain:2"}, UnknownFamily,
+     "unknown product factor family 'foo'"),
+])
+def test_generate_refusals_name_their_cause(args, kwargs, exc, message):
+    with pytest.raises(exc) as info:
+        generate(*args, **kwargs)
+    assert type(info.value) is exc and str(info.value) == message
 
 
 def _accepted(label):
